@@ -12,11 +12,13 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 from . import __version__
 from .analytics import (
@@ -95,7 +97,11 @@ def _err(message) -> None:
 def _resolve_jobs(args) -> int:
     if args.jobs is not None:
         return max(1, args.jobs)
-    return max(1, int(os.environ.get("COREF_JOBS", "1")))
+    raw = os.environ.get("COREF_JOBS", "1")
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise ConfigError(f"COREF_JOBS must be an integer, got {raw!r}") from None
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -189,8 +195,11 @@ def _clusters_json(result: ClusteringResult) -> list:
 def cmd_run(args) -> int:
     policy = _policy_from_args(args)
     scorer_kind, scorer_arg = _parse_scorer(args.scorer)
-    docs = read_corpus(args.inputs, args.format)
+    ratio = args.proposal_ratio
+    if ratio is not None and not 0 < ratio < math.inf:
+        raise ConfigError(f"--proposal-ratio must be positive and finite, got {ratio}")
     jobs = _resolve_jobs(args)
+    docs = read_corpus(args.inputs, args.format)
     record = args.record_scores is not None
 
     match_cfg = StringMatchConfig(
@@ -258,6 +267,8 @@ def cmd_run(args) -> int:
                 "scorer": args.scorer,
                 "singletons": policy.singleton_mode.value,
                 "proposal_ratio": args.proposal_ratio,
+                "lowercase": match_cfg.lowercase,
+                "strip_determiners": match_cfg.strip_determiners,
                 "format": args.format,
                 "inputs": [str(p) for p in args.inputs],
                 "seed": None,
@@ -290,6 +301,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.buckets < 1:
+        raise ConfigError(f"--buckets must be at least 1, got {args.buckets}")
     docs = read_corpus(args.inputs, args.format)
     rows = per_document_stats(docs)
     counts = spread_histogram(docs, args.buckets, args.exclude_singletons)
@@ -357,14 +370,25 @@ def cmd_oracle(args) -> int:
 
 
 def _load_cluster_file(path: str, fmt: str) -> dict[str, list[list[MentionSpan]]]:
-    """Read doc_id -> clusters from a cluster file or a corpus file."""
+    """Read doc_id -> clusters from a cluster file or a corpus file.
+
+    Each doc_id may appear once: a repeat would replace the earlier
+    document and silently shrink the corpus being scored.
+    """
+    out: dict[str, list[list[MentionSpan]]] = {}
+    for doc_id, clusters in _cluster_records(path, fmt):
+        if doc_id in out:
+            raise DocIdMismatch(f"duplicate doc_id {doc_id!r} in {path}")
+        out[doc_id] = clusters
+    return out
+
+
+def _cluster_records(path: str, fmt: str) -> Iterator[tuple[str, list[list[MentionSpan]]]]:
     actual = detect_format(path) if fmt == "auto" else fmt
     if actual == "conll":
-        return {
-            d.doc_id: [list(c.mentions) for c in d.gold_clusters]
-            for d in load_conll(path)
-        }
-    out: dict[str, list[list[MentionSpan]]] = {}
+        for d in load_conll(path):
+            yield d.doc_id, [list(c.mentions) for c in d.gold_clusters]
+        return
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
@@ -389,8 +413,7 @@ def _load_cluster_file(path: str, fmt: str) -> dict[str, list[list[MentionSpan]]
                 raise ParseError(
                     "expected clusters or gold_clusters", path=path, line=line_no
                 )
-            out[obj["doc_id"]] = clusters
-    return out
+            yield obj["doc_id"], clusters
 
 
 def _report_table(report: ScoreReport) -> str:

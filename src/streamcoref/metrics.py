@@ -11,12 +11,8 @@ MentionSpan values, which qualify.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
-
-import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 Cluster = frozenset
 Counts = tuple[float, float, float, float]  # p_num, p_den, r_num, r_den
@@ -116,19 +112,61 @@ def phi4(a: frozenset, b: frozenset) -> float:
     return 2 * len(a & b) / (len(a) + len(b))
 
 
+def _overlap_components(
+    g: Sequence[frozenset], p: Sequence[frozenset]
+) -> list[tuple[list[frozenset], list[frozenset]]]:
+    """Group clusters into connected components of the mention-overlap graph.
+
+    Two clusters are linked when they share a mention, on either side, so
+    the grouping stays exact even when one side repeats a mention across
+    its own clusters. Components come out in order of their first cluster.
+    """
+    clusters = [*g, *p]
+    parent = list(range(len(clusters)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    owner: dict[Hashable, int] = {}
+    for idx, c in enumerate(clusters):
+        for m in c:
+            first = owner.setdefault(m, idx)
+            if first != idx:
+                parent[find(idx)] = find(first)
+    components: dict[int, tuple[list[frozenset], list[frozenset]]] = {}
+    for idx, c in enumerate(clusters):
+        side = 0 if idx < len(g) else 1
+        components.setdefault(find(idx), ([], []))[side].append(c)
+    return list(components.values())
+
+
 def ceaf_phi4_counts(gold: Iterable[Iterable[Hashable]], pred: Iterable[Iterable[Hashable]]) -> Counts:
     """Entity-based counts under the optimal one-to-one cluster alignment.
 
-    The alignment is solved exactly (Hungarian assignment); a greedy match
-    can score differently and is not acceptable here.
+    phi4 is zero between clusters that share no mention, so the optimum is
+    the sum of the optima of the overlap graph's connected components
+    (Luo 2005). A component with a single cluster on one side can align
+    only one pair and takes its best phi4. The rest are solved exactly by
+    Hungarian assignment; a greedy match can score differently and is not
+    acceptable here. scipy is imported only when such a component exists.
     """
     g = _freeze(gold)
     p = _freeze(pred)
-    if not g or not p:
-        return (0.0, float(len(p)), 0.0, float(len(g)))
-    sim = np.array([[phi4(gc, pc) for pc in p] for gc in g])
-    rows, cols = linear_sum_assignment(sim, maximize=True)
-    total = float(sim[rows, cols].sum())
+    total = 0.0
+    for gs, ps in _overlap_components(g, p):
+        if not gs or not ps:
+            continue
+        if len(gs) == 1 or len(ps) == 1:
+            total += max(phi4(gc, pc) for gc in gs for pc in ps)
+            continue
+        from scipy.optimize import linear_sum_assignment
+
+        sim = [[phi4(gc, pc) for pc in ps] for gc in gs]
+        rows, cols = linear_sum_assignment(sim, maximize=True)
+        total += sum(sim[r][c] for r, c in zip(rows, cols))
     return (total, float(len(p)), total, float(len(g)))
 
 
@@ -165,13 +203,14 @@ class CountAccumulator:
     """Sums per-document counts; corpus scores divide at the end."""
 
     def __init__(self) -> None:
-        self._sums = [np.zeros(4) for _ in _METRICS]
+        self._sums = [[0.0] * 4 for _ in _METRICS]
 
     def add(self, gold, pred, drop_singletons: bool = False) -> None:
         g = filter_singletons(gold) if drop_singletons else _freeze(gold)
         p = filter_singletons(pred) if drop_singletons else _freeze(pred)
         for sums, fn in zip(self._sums, _METRICS):
-            sums += np.array(fn(g, p))
+            for k, count in enumerate(fn(g, p)):
+                sums[k] += count
 
     def report(self) -> ScoreReport:
         prfs = [PRF.from_counts(tuple(sums)) for sums in self._sums]

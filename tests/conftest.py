@@ -9,6 +9,9 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
+from scipy.optimize import linear_sum_assignment
+
 from streamcoref import Action, ActionKind, Document, ScoreRow
 
 
@@ -206,6 +209,22 @@ def factorial_ceaf_counts(gold, pred) -> tuple[Fraction, int, Fraction, int]:
         total = sum(phi(small[i], large[j]) for i, j in enumerate(perm))
         best = max(best, total)
     return best, len(p), best, len(g)
+
+
+def dense_ceaf_counts(gold, pred) -> tuple[float, float, float, float]:
+    """One assignment over the full gold x pred phi4 matrix.
+
+    The package solves each connected component of the overlap graph on
+    its own; this is the whole-matrix formulation it must agree with.
+    """
+    g = [frozenset(c) for c in gold]
+    p = [frozenset(c) for c in pred]
+    if not g or not p:
+        return (0.0, float(len(p)), 0.0, float(len(g)))
+    sim = np.array([[2 * len(gc & pc) / (len(gc) + len(pc)) for pc in p] for gc in g])
+    rows, cols = linear_sum_assignment(sim, maximize=True)
+    total = float(sim[rows, cols].sum())
+    return (total, float(len(p)), total, float(len(g)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import streamcoref
 from conftest import doc_to_conll, has_crossing_spans
 from streamcoref import load_jsonl, synthesize_corpus, write_jsonl
 from streamcoref.cli import main
@@ -130,6 +135,22 @@ def test_run_is_deterministic_and_manifested(tmp_path, corpus):
     assert all(len(d["digest"]) == 64 for d in manifest["documents"])
 
 
+def test_manifest_records_string_match_options(tmp_path, corpus):
+    _, path = corpus
+    configs = []
+    for tag, extra in (("default", ()), ("strip", ("--strip-determiners",))):
+        manifest = tmp_path / f"{tag}.manifest.json"
+        code = run_cli(
+            "run", path, "--scorer", "string-match", *extra, "--manifest", manifest
+        )
+        assert code == 0
+        configs.append(json.loads(manifest.read_text())["config"])
+    default, strip = configs
+    assert default != strip
+    assert (default["lowercase"], default["strip_determiners"]) == (True, False)
+    assert (strip["lowercase"], strip["strip_determiners"]) == (True, True)
+
+
 def test_run_parallel_matches_sequential(tmp_path, corpus):
     _, path = corpus
     seq = tmp_path / "seq.jsonl"
@@ -243,6 +264,20 @@ def test_score_doc_id_mismatch_exit_code(tmp_path, capsys):
     assert "not in gold: b" in err
 
 
+def test_score_duplicate_doc_id_exit_code(tmp_path, capsys):
+    gold = tmp_path / "gold.jsonl"
+    pred = tmp_path / "pred.jsonl"
+    gold.write_text(
+        json.dumps({"doc_id": "a", "clusters": [[[0, 0], [1, 1]]]}) + "\n"
+        + json.dumps({"doc_id": "a", "clusters": [[[2, 2], [3, 3]]]}) + "\n"
+    )
+    pred.write_text(
+        json.dumps({"doc_id": "a", "clusters": [[[2, 2], [3, 3]]]}) + "\n"
+    )
+    assert run_cli("score", gold, pred) == 5
+    assert "duplicate doc_id 'a'" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # oracle command
 
@@ -283,12 +318,23 @@ def test_oracle_writes_trace_with_remaining(tmp_path, corpus, capsys):
         ("run", "{corpus}", "--policy", "ustar"),  # keep-singletons default
         ("run", "{corpus}", "--scorer", "replay:"),
         ("oracle", "{corpus}", "--policy", "rb"),  # no capacity
+        ("run", "{corpus}", "--proposal-ratio", "0"),
+        ("run", "{corpus}", "--proposal-ratio", "-1"),
+        ("run", "{corpus}", "--proposal-ratio", "nan"),
+        ("analyze", "{corpus}", "--buckets", "0"),
     ],
 )
 def test_config_errors_exit_3(corpus, argv):
     _, path = corpus
     argv = [a.replace("{corpus}", str(path)) if isinstance(a, str) else a for a in argv]
     assert run_cli(*argv) == 3
+
+
+def test_bad_jobs_env_exit_3(corpus, monkeypatch, capsys):
+    _, path = corpus
+    monkeypatch.setenv("COREF_JOBS", "abc")
+    assert run_cli("run", path) == 3
+    assert "COREF_JOBS" in capsys.readouterr().err
 
 
 def test_parse_errors_exit_2(tmp_path):
@@ -300,3 +346,53 @@ def test_parse_errors_exit_2(tmp_path):
     bad_json = tmp_path / "bad.jsonl"
     bad_json.write_text('{"doc_id": "d"}\n')
     assert run_cli("run", bad_json) == 2
+
+
+# ---------------------------------------------------------------------------
+# import budget: importing numpy and scipy dominates CLI start-up, so only a
+# score whose CEAF alignment needs the assignment solver may load them
+
+_PROBE = """
+import sys
+from streamcoref.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit:
+    pass
+print(sorted({"numpy", "scipy"} & set(sys.modules)))
+"""
+
+
+def _heavy_modules_loaded(code: str, *argv) -> str:
+    src = str(Path(streamcoref.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *map(str, argv)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return proc.stdout.splitlines()[-1]
+
+
+def test_package_import_loads_no_numpy_or_scipy():
+    code = "import sys, streamcoref; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    assert _heavy_modules_loaded(code) == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--version",),
+        ("run", "{corpus}", "--scorer", "string-match", "--policy", "lb",
+         "--capacity", "3", "--out", "{tmp}/pred.jsonl"),
+        ("analyze", "{corpus}"),
+        ("oracle", "{corpus}", "--policy", "lb", "--capacity", "3"),
+        ("score", "{corpus}", "{corpus}"),  # one-to-one components only
+    ],
+    ids=["version", "run", "analyze", "oracle", "score-identical"],
+)
+def test_cli_loads_no_numpy_or_scipy(tmp_path, corpus, argv):
+    _, path = corpus
+    argv = [a.replace("{corpus}", str(path)).replace("{tmp}", str(tmp_path)) for a in argv]
+    assert _heavy_modules_loaded(_PROBE, *argv) == "[]"

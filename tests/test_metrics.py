@@ -3,10 +3,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import METRIC_CASES, factorial_ceaf_counts
+from conftest import METRIC_CASES, dense_ceaf_counts, factorial_ceaf_counts
 from streamcoref import (
     PRF,
     CountAccumulator,
@@ -112,6 +112,44 @@ def test_ceaf_matches_factorial_enumeration():
         assert p_num == pytest.approx(float(e_pnum), abs=1e-9)
         assert r_num == pytest.approx(float(e_rnum), abs=1e-9)
         assert (p_den, r_den) == (e_pden, e_rden)
+
+
+@st.composite
+def component_blocks(draw):
+    """Gold and predicted clusters drawn block by block.
+
+    Each block owns its own mention range, so one example mixes
+    components of every shape: one-sided, one cluster against several,
+    and several against several, which only the assignment solver can
+    align. Clusters on one side may share mentions too.
+    """
+    gold, pred = [], []
+    for block in range(draw(st.integers(0, 4))):
+        mentions = st.integers(10 * block, 10 * block + draw(st.integers(0, 9)))
+        side = st.lists(
+            st.lists(mentions, min_size=1, max_size=5, unique=True), max_size=4
+        )
+        gold += draw(side)
+        pred += draw(side)
+    return gold, pred
+
+
+@settings(max_examples=200, deadline=None)
+@given(component_blocks())
+@example(([[0, 1], [2, 3], [7]], [[0, 2], [1, 3], [8]]))
+def test_ceaf_matches_dense_assignment(clusters):
+    gold, pred = clusters
+    p_num, p_den, r_num, r_den = ceaf_phi4_counts(gold, pred)
+    d_pnum, d_pden, d_rnum, d_rden = dense_ceaf_counts(gold, pred)
+    assert p_num == pytest.approx(d_pnum, abs=1e-12)
+    assert r_num == pytest.approx(d_rnum, abs=1e-12)
+    assert (p_den, r_den) == (d_pden, d_rden)
+
+
+def test_ceaf_counts_when_no_mention_is_shared():
+    gold = [["a", "b"], ["c"], ["d", "e", "f"]]
+    pred = [["x", "y"], ["z"]]
+    assert ceaf_phi4_counts(gold, pred) == (0.0, 2.0, 0.0, 3.0)
 
 
 def test_count_tuples_for_known_case():
