@@ -26,18 +26,14 @@ from .analytics import (
 )
 from .engine import (
     ClusteringResult,
-    DimensionMismatchError,
     MemoryState,
     RunStats,
-    StepScores,
     clusters_from_actions,
     decide_lb,
     decide_rb,
     decide_unbounded,
-    mention_representation,
     run_document,
     step,
-    update_entity,
 )
 from .ingest import (
     CorpusSource,

@@ -39,7 +39,7 @@ from .ingest import (
     write_jsonl,
 )
 from .metrics import CountAccumulator, ScoreReport
-from .oracle import oracle_trace, oracle_trackable_fraction
+from .oracle import capacity_ignores, oracle_trace, trackable_fraction
 from .scoring import (
     RecordingScoreProvider,
     ReplayScoreProvider,
@@ -219,6 +219,7 @@ def cmd_run(args) -> int:
             outs.append(
                 {"doc_id": doc.doc_id, "mentions": mentions, "result": result}
             )
+        provider.check_exhausted()
         recorded_rows = list(recorder.rows) if recorder else None
     else:
         cfg = match_cfg if scorer_kind == "string-match" else None
@@ -337,6 +338,7 @@ def cmd_oracle(args) -> int:
     docs = read_corpus(args.inputs, args.format)
 
     ignored = []
+    total = 0
     if args.out:
         fh = open(args.out, "w", encoding="utf-8")
     else:
@@ -345,9 +347,8 @@ def cmd_oracle(args) -> int:
         for doc in docs:
             mentions, _ = order_mentions(doc.gold_mentions())
             steps = oracle_trace(mentions, doc.gold_clusters, policy)
-            ignored.append(
-                sum(1 for s in steps if s.action.kind.value == "ignore_cap")
-            )
+            ignored.append(capacity_ignores(steps))
+            total += len(steps)
             if fh:
                 fh.write(json.dumps({"doc_id": doc.doc_id}) + "\n")
                 for mention, stp in zip(mentions, steps):
@@ -359,7 +360,7 @@ def cmd_oracle(args) -> int:
         if fh:
             fh.close()
 
-    fraction = oracle_trackable_fraction(docs, policy)
+    fraction = trackable_fraction(sum(ignored), total)
     mean_ignored = sum(ignored) / len(ignored) if ignored else 0.0
     capacity_txt = "none" if policy.capacity is None else str(policy.capacity)
     print(f"documents            {len(docs)}")

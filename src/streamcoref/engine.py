@@ -21,80 +21,30 @@ A zero top coref score does not trigger coreference; the inequality is
 strict. Cells keep their slot forever: evict-and-replace swaps the
 occupant but not the position. A cell's "use" is creation, coreference,
 or replacement; reading its scores does not refresh recency.
+
+Every step asks the provider once, for the step's whole ScoreRow (see
+scoring), whatever the policy ends up needing, so recorded runs always
+have the full replay row shape.
 """
 
 from __future__ import annotations
 
-import hashlib
-import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import Sequence
 
-from .scoring import EntityCell, ScoreProvider
+from .scoring import EntityCell, ScoreProvider, ScoreRow
 from .types import Action, ActionKind, Document, MemoryPolicy, MentionSpan, PolicyConfig
 
-REPR_DIM = 16
 
-
-class DimensionMismatchError(ValueError):
-    """Entity and mention representations of different widths."""
-
-
-@lru_cache(maxsize=65536)
-def _string_representation(text: str) -> tuple[float, ...]:
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
-    raw = [
-        int.from_bytes(digest[2 * i : 2 * i + 2], "big") / 32767.5 - 1.0
-        for i in range(REPR_DIM)
-    ]
-    norm = math.sqrt(sum(v * v for v in raw))
-    if norm == 0.0:  # unreachable in practice, kept for determinism
-        raw[0] = 1.0
-        norm = 1.0
-    return tuple(v / norm for v in raw)
-
-
-def mention_representation(doc: Document, span: MentionSpan) -> tuple[float, ...]:
-    """Deterministic unit vector derived from the span's token string.
-
-    A stand-in for a learned encoder: it gives the update rule real
-    arithmetic to chew on while keeping runs reproducible everywhere.
-    """
-    return _string_representation(doc.span_text(span))
-
-
-def update_entity(cell: EntityCell, mention_repr: Sequence[float]) -> EntityCell:
-    """Fold a mention into a cell: running mean over representations.
-
-    With n mentions absorbed so far, the new representation is
-    (n * e + x) / (n + 1) and the count becomes n + 1. Recency is the
-    engine's business and is not touched here.
-    """
-    if len(mention_repr) != len(cell.representation):
-        raise DimensionMismatchError(
-            f"cell has dimension {len(cell.representation)}, mention {len(mention_repr)}"
-        )
-    n = cell.mention_count
-    rep = tuple((n * e + x) / (n + 1) for e, x in zip(cell.representation, mention_repr))
-    return replace(cell, representation=rep, mention_count=n + 1)
-
-
-@dataclass(frozen=True)
-class StepScores:
-    """The full score tuple for one step, per-cell values in slot order."""
-
-    s_m: float
-    s_c: tuple[float, ...]
-    f_r_cells: tuple[float, ...]
-    f_r_mention: float
-
-
-@dataclass(frozen=True)
+@dataclass
 class MemoryState:
-    """Memory between steps: cells in creation order plus counters."""
+    """Memory between steps: cells in slot order plus counters.
 
-    cells: tuple[EntityCell, ...] = ()
+    run_document owns one state per document and advances it in place;
+    step advances a copy.
+    """
+
+    cells: list[EntityCell] = field(default_factory=list)
     capacity: int | None = None
     next_ordinal: int = 0
     next_cell_id: int = 0
@@ -104,14 +54,14 @@ class MemoryState:
         return self.capacity is not None and len(self.cells) >= self.capacity
 
 
-def decide_unbounded(scores: StepScores, star: bool) -> Action:
+def decide_unbounded(scores: ScoreRow, star: bool) -> Action:
     """Step-two rule with unlimited memory."""
     if star or scores.s_m > 0.0:
         return Action.new_entity()
     return Action.ignore_invalid()
 
 
-def decide_lb(state: MemoryState, scores: StepScores) -> Action:
+def decide_lb(state: MemoryState, scores: ScoreRow) -> Action:
     """Step-two rule for learned-bounded memory.
 
     Below capacity this is the unbounded rule. At capacity, forget the
@@ -120,8 +70,8 @@ def decide_lb(state: MemoryState, scores: StepScores) -> Action:
     """
     if not state.full:
         return decide_unbounded(scores, star=False)
-    vector = list(scores.f_r_cells) + [scores.f_r_mention, scores.s_m]
-    d = min(range(len(vector)), key=vector.__getitem__)
+    vector = [*scores.f_r_cells, scores.f_r_mention, scores.s_m]
+    d = vector.index(min(vector))
     m = len(state.cells)
     if d < m:
         return Action.evict(d)
@@ -135,7 +85,7 @@ def lru_slot(state: MemoryState) -> int:
     return min(range(len(state.cells)), key=lambda i: state.cells[i].last_use_ordinal)
 
 
-def decide_rb(state: MemoryState, scores: StepScores) -> Action:
+def decide_rb(state: MemoryState, scores: ScoreRow) -> Action:
     """Step-two rule for rule-bounded memory: only the LRU cell is at stake."""
     if not state.full:
         return decide_unbounded(scores, star=False)
@@ -157,14 +107,52 @@ def _fresh_cell(
     scores: ScoreProvider,
     ordinal: int,
 ) -> EntityCell:
-    return EntityCell(
+    cell = EntityCell(
         cell_id=state.next_cell_id,
         slot=slot,
-        representation=mention_representation(doc, mention),
-        mention_count=1,
         last_use_ordinal=ordinal,
         gold_entity_id=scores.gold_entity_id(doc, mention),
     )
+    state.next_cell_id += 1
+    return cell
+
+
+def _advance(
+    doc: Document,
+    state: MemoryState,
+    mention: MentionSpan,
+    scores: ScoreProvider,
+    policy: PolicyConfig,
+) -> Action:
+    """The step body: one provider query, the decision, memory updated in place."""
+    cells = state.cells
+    row = scores.step_scores(doc, mention, cells)
+    ordinal = state.next_ordinal
+    state.next_ordinal = ordinal + 1
+
+    s_c = row.s_c
+    if s_c:
+        best = max(s_c)
+        if best > 0.0:
+            top = s_c.index(best)  # the lowest slot among ties
+            cells[top].last_use_ordinal = ordinal
+            return Action.coref(top)
+
+    if policy.policy is MemoryPolicy.UNBOUNDED:
+        action = decide_unbounded(row, star=False)
+    elif policy.policy is MemoryPolicy.UNBOUNDED_STAR:
+        action = decide_unbounded(row, star=True)
+    elif policy.policy is MemoryPolicy.LEARNED_BOUNDED:
+        action = decide_lb(state, row)
+    else:
+        action = decide_rb(state, row)
+
+    if action.kind is ActionKind.NEW_ENTITY:
+        cells.append(_fresh_cell(state, len(cells), doc, mention, scores, ordinal))
+    elif action.kind is ActionKind.EVICT:
+        cells[action.cell] = _fresh_cell(state, action.cell, doc, mention, scores, ordinal)
+    # Ignores advance the step ordinal and leave memory untouched.
+    return action
 
 
 def step(
@@ -174,67 +162,16 @@ def step(
     scores: ScoreProvider,
     policy: PolicyConfig,
 ) -> tuple[MemoryState, Action]:
-    """Process one mention; total over every (state, mention) pair.
+    """Process one mention without touching the given state.
 
-    Queries the provider for the complete score tuple every step, whatever
-    the policy ends up needing: providers are pure, the cost stays
-    O(cells), and recorded runs always have the full replay row shape.
+    Advances a copy of the state with the same step body run_document
+    uses, and returns it with its cells as a tuple. The provider's
+    lifecycle hooks are the caller's business.
     """
-    cells = state.cells
-    prefetched = StepScores(
-        s_m=float(scores.mention_score(doc, mention)),
-        s_c=tuple(float(scores.coref_score(doc, mention, c)) for c in cells),
-        f_r_cells=tuple(float(scores.remaining_score(doc, c)) for c in cells),
-        f_r_mention=float(scores.remaining_score(doc, mention)),
-    )
-    ordinal = state.next_ordinal
-
-    if cells:
-        top = max(range(len(cells)), key=lambda i: prefetched.s_c[i])
-        if prefetched.s_c[top] > 0.0:
-            updated = update_entity(cells[top], mention_representation(doc, mention))
-            updated = replace(updated, last_use_ordinal=ordinal)
-            new_cells = cells[:top] + (updated,) + cells[top + 1 :]
-            return (
-                replace(state, cells=new_cells, next_ordinal=ordinal + 1),
-                Action.coref(top),
-            )
-
-    if policy.policy is MemoryPolicy.UNBOUNDED:
-        action = decide_unbounded(prefetched, star=False)
-    elif policy.policy is MemoryPolicy.UNBOUNDED_STAR:
-        action = decide_unbounded(prefetched, star=True)
-    elif policy.policy is MemoryPolicy.LEARNED_BOUNDED:
-        action = decide_lb(state, prefetched)
-    else:
-        action = decide_rb(state, prefetched)
-
-    if action.kind is ActionKind.NEW_ENTITY:
-        cell = _fresh_cell(state, len(cells), doc, mention, scores, ordinal)
-        return (
-            replace(
-                state,
-                cells=cells + (cell,),
-                next_ordinal=ordinal + 1,
-                next_cell_id=state.next_cell_id + 1,
-            ),
-            action,
-        )
-    if action.kind is ActionKind.EVICT:
-        slot = action.cell
-        cell = _fresh_cell(state, slot, doc, mention, scores, ordinal)
-        new_cells = cells[:slot] + (cell,) + cells[slot + 1 :]
-        return (
-            replace(
-                state,
-                cells=new_cells,
-                next_ordinal=ordinal + 1,
-                next_cell_id=state.next_cell_id + 1,
-            ),
-            action,
-        )
-    # Ignores advance the step ordinal and leave memory untouched.
-    return replace(state, next_ordinal=ordinal + 1), action
+    copy = replace(state, cells=[replace(c) for c in state.cells])
+    action = _advance(doc, copy, mention, scores, policy)
+    copy.cells = tuple(copy.cells)
+    return copy, action
 
 
 @dataclass(frozen=True)
@@ -286,12 +223,15 @@ def run_document(
     scores: ScoreProvider,
     policy: PolicyConfig,
 ) -> ClusteringResult:
-    """Fold step over the mentions of one document, from empty memory.
+    """Run the step body over the mentions of one document, from empty memory.
 
-    Mentions must already be in processing order. Per-mention work is
-    O(capacity) for the bounded policies.
+    Mentions must already be in processing order. The memory is updated
+    in place: a cell is created only by a new entity or an eviction, and
+    a coreference refreshes the cell's recency. Per-mention work is one
+    provider query plus O(capacity) for the bounded policies.
     """
     state = MemoryState(capacity=policy.capacity)
+    cells = state.cells
     actions: list[Action] = []
     samples: list[int] = []
     evictions = ignored_cap = ignored_inv = 0
@@ -299,9 +239,9 @@ def run_document(
     scores.start_document(doc, mentions)
     for i, mention in enumerate(mentions):
         scores.mention_begin(i, mention)
-        state, action = step(doc, state, mention, scores, policy)
+        action = _advance(doc, state, mention, scores, policy)
         actions.append(action)
-        samples.append(len(state.cells))
+        samples.append(len(cells))
         if action.kind is ActionKind.EVICT:
             evictions += 1
         elif action.kind is ActionKind.IGNORE_CAPACITY:
@@ -309,9 +249,9 @@ def run_document(
         elif action.kind is ActionKind.IGNORE_INVALID:
             ignored_inv += 1
         if action.cell is not None:
-            touched: EntityCell | None = state.cells[action.cell]
+            touched: EntityCell | None = cells[action.cell]
         elif action.kind is ActionKind.NEW_ENTITY:
-            touched = state.cells[-1]
+            touched = cells[-1]
         else:
             touched = None
         scores.observe_action(i, mention, action, touched)

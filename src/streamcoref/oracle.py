@@ -143,23 +143,31 @@ def oracle_actions(
     return [s.action for s in oracle_trace(mentions, gold, policy)]
 
 
-def oracle_trackable_fraction(
-    docs: Iterable[Document], policy: PolicyConfig
-) -> float:
-    """Fraction of gold mentions the oracle tracks rather than drops.
+def capacity_ignores(steps: Iterable[OracleStep]) -> int:
+    """How many of a trace's mentions the oracle ignored for capacity."""
+    return sum(1 for s in steps if s.action.kind is ActionKind.IGNORE_CAPACITY)
+
+
+def trackable_fraction(ignored: int, total: int) -> float:
+    """Fraction of total gold mentions tracked when ignored were dropped.
 
     Tracked means coref, new entity, or evict-and-replace; only capacity
     ignores count against it. A corpus with no gold mentions is vacuously
     fully trackable.
     """
-    tracked = 0
-    total = 0
-    for doc in docs:
-        mentions, _ = order_mentions(doc.gold_mentions())
-        for s in oracle_trace(mentions, doc.gold_clusters, policy):
-            total += 1
-            if s.action.kind is not ActionKind.IGNORE_CAPACITY:
-                tracked += 1
     if total == 0:
         return 1.0
-    return tracked / total
+    return (total - ignored) / total
+
+
+def oracle_trackable_fraction(
+    docs: Iterable[Document], policy: PolicyConfig
+) -> float:
+    """Fraction of gold mentions the oracle tracks rather than drops."""
+    ignored = total = 0
+    for doc in docs:
+        mentions, _ = order_mentions(doc.gold_mentions())
+        steps = oracle_trace(mentions, doc.gold_clusters, policy)
+        ignored += capacity_ignores(steps)
+        total += len(steps)
+    return trackable_fraction(ignored, total)

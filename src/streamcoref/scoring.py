@@ -1,52 +1,124 @@
-"""Score providers: deterministic sources of the three scores the engine needs.
+"""Score providers: deterministic sources of the scores the engine needs.
 
-A ScoreProvider answers, for the mention currently being processed:
+The engine asks a provider once per mention, passing the memory's cells in
+slot order:
 
-* mention_score(doc, span): is this span a real mention at all,
-* coref_score(doc, span, cell): does it belong to the entity in that cell
-  (this value already folds in the mention score term, so the engine
-  compares it against zero directly),
-* remaining_score(doc, span_or_cell): how much future material the span's
-  entity, or the cell's entity, still has in the document.
+    step_scores(doc, mention, cells) -> ScoreRow
+
+and the row holds everything the step can consult:
+
+* s_m: is the mention a real mention at all,
+* s_c: per cell, does the mention belong to the entity in that cell (this
+  value already folds in the mention score term, so the engine compares it
+  against zero directly),
+* f_r_cells: per cell, how much future material the cell's entity still
+  has in the document,
+* f_r_mention: the same for the mention's own entity.
+
+s_c and f_r_cells hold exactly one value per cell. The row is also the
+replay-file record: recording appends the row, replay serves it back.
+
+ScoreProvider.step_scores by default composes the row from three scalar
+queries, mention_score, coref_score and remaining_score (2M + 2 calls over
+M cells), so a provider may implement just those. The gold and
+string-match providers override step_scores with one batched pass that
+gives the same row.
 
 Providers are pure within a run: the same query during the same step gives
-the same value. They may keep per-run state (cursors, per-cell caches) fed
+the same value. They may keep per-run state (cursors, per-cell counts) fed
 by the lifecycle hooks that the engine calls: start_document once,
-mention_begin before each step, observe_action after each step,
-end_document once. One provider serves one engine run at a time.
+mention_begin before each step, observe_action after each step (with the
+cell the action created, joined or replaced), end_document once. One
+provider serves one engine run at a time.
+
+Replay files are outside input and are checked: a line that is not JSON, a
+row missing a key or holding a NaN raises ParseError with the file and
+line; a row whose per-cell lists do not have one value per cell in memory,
+a run with more mentions than rows, and rows left over after the run raise
+ScoreShapeMismatch.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .ingest import ParseError
 from .types import Action, ActionKind, Document, MentionSpan
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EntityCell:
     """One memory slot tracking a single entity.
 
     slot is the cell's fixed position in memory: positions are assigned at
-    creation and survive evict-and-replace, which only swaps the occupant.
+    creation and survive evict-and-replace, which puts a new cell in the
+    slot. last_use_ordinal is the step that created the cell or last joined
+    a mention to it; the engine updates it in place.
     gold_entity_id is populated only when the provider knows gold identities.
     """
 
     cell_id: int
     slot: int
-    representation: tuple[float, ...]
-    mention_count: int
     last_use_ordinal: int
     gold_entity_id: int | None = None
 
 
+@dataclass(frozen=True, slots=True)
+class ScoreRow:
+    """All scores for one mention step, with per-cell values in slot order."""
+
+    s_m: float
+    s_c: tuple[float, ...]
+    f_r_cells: tuple[float, ...]
+    f_r_mention: float
+
+    def to_obj(self) -> dict:
+        return {
+            "s_m": self.s_m,
+            "s_c": list(self.s_c),
+            "f_r_cells": list(self.f_r_cells),
+            "f_r_mention": self.f_r_mention,
+        }
+
+    @classmethod
+    def from_obj(cls, obj: dict) -> "ScoreRow":
+        try:
+            return cls(
+                s_m=_score(obj["s_m"]),
+                s_c=_scores(obj["s_c"]),
+                f_r_cells=_scores(obj["f_r_cells"]),
+                f_r_mention=_score(obj["f_r_mention"]),
+            )
+        except KeyError as e:
+            raise ValueError(f"malformed score row: missing key {e}") from None
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"malformed score row: {e}") from None
+
+
+def _score(value) -> float:
+    # NaN compares false against everything, so the engine's argmax and
+    # argmin would pick by position instead of by value.
+    x = float(value)
+    if x != x:
+        raise ValueError("NaN score")
+    return x
+
+
+def _scores(values) -> tuple[float, ...]:
+    # A string would otherwise be read one character per cell.
+    if not isinstance(values, list):
+        raise TypeError(f"expected a list of scores, got {type(values).__name__}")
+    return tuple(map(_score, values))
+
+
 class ScoreShapeMismatch(RuntimeError):
-    """The engine asked for a score the replay file does not hold."""
+    """The replay file does not hold the scores the run needs."""
 
     def __init__(self, mention_index: int, message: str):
         self.mention_index = mention_index
@@ -54,13 +126,28 @@ class ScoreShapeMismatch(RuntimeError):
 
 
 class ScoreProvider:
-    """Interface plus no-op lifecycle hooks; subclasses fill in the scores."""
+    """Interface plus no-op lifecycle hooks; subclasses fill in the scores.
+
+    Implement step_scores, or the three scalar queries that the default
+    step_scores composes.
+    """
 
     def start_document(self, doc: Document, mentions: Sequence[MentionSpan]) -> None:
         pass
 
     def mention_begin(self, index: int, mention: MentionSpan) -> None:
         pass
+
+    def step_scores(
+        self, doc: Document, mention: MentionSpan, cells: Sequence[EntityCell]
+    ) -> ScoreRow:
+        """The step's row, built from one scalar query per value."""
+        return ScoreRow(
+            s_m=float(self.mention_score(doc, mention)),
+            s_c=tuple([float(self.coref_score(doc, mention, c)) for c in cells]),
+            f_r_cells=tuple([float(self.remaining_score(doc, c)) for c in cells]),
+            f_r_mention=float(self.remaining_score(doc, mention)),
+        )
 
     def mention_score(self, doc: Document, mention: MentionSpan) -> float:
         raise NotImplementedError
@@ -95,22 +182,33 @@ class GoldScoreProvider(ScoreProvider):
 
     def __init__(self, doc: Document | None = None):
         self._ent_of: dict[MentionSpan, int] = {}
-        self._remaining: dict[int, int] = {}
+        self._remaining: dict[int, float] = {}
         self._prev_entity: int | None = None
         if doc is not None:
             self.start_document(doc, [])
 
     def start_document(self, doc: Document, mentions: Sequence[MentionSpan]) -> None:
         self._ent_of = dict(doc.entity_by_span)
-        self._remaining = {c.entity_id: len(c.mentions) for c in doc.gold_clusters}
+        self._remaining = {c.entity_id: float(len(c.mentions)) for c in doc.gold_clusters}
         self._prev_entity = None
 
     def mention_begin(self, index: int, mention: MentionSpan) -> None:
         # The previous mention is now fully in the past; its entity's
         # remaining count drops. The current mention still counts.
         if self._prev_entity is not None:
-            self._remaining[self._prev_entity] -= 1
+            self._remaining[self._prev_entity] -= 1.0
         self._prev_entity = self._ent_of.get(mention)
+
+    def step_scores(
+        self, doc: Document, mention: MentionSpan, cells: Sequence[EntityCell]
+    ) -> ScoreRow:
+        ent = self._ent_of.get(mention)
+        remaining = self._remaining
+        f_r_cells = tuple([remaining.get(c.gold_entity_id, 0.0) for c in cells])
+        if ent is None:
+            return ScoreRow(-1.0, (-1.0,) * len(cells), f_r_cells, 0.0)
+        s_c = tuple([1.0 if c.gold_entity_id == ent else -1.0 for c in cells])
+        return ScoreRow(1.0, s_c, f_r_cells, remaining[ent])
 
     def mention_score(self, doc: Document, mention: MentionSpan) -> float:
         return 1.0 if mention in self._ent_of else -1.0
@@ -126,9 +224,7 @@ class GoldScoreProvider(ScoreProvider):
             ent = item.gold_entity_id
         else:
             ent = self._ent_of.get(item)
-        if ent is None:
-            return 0.0
-        return float(self._remaining[ent])
+        return self._remaining.get(ent, 0.0)
 
     def gold_entity_id(self, doc: Document, mention: MentionSpan) -> int | None:
         return self._ent_of.get(mention)
@@ -154,20 +250,31 @@ class StringMatchScoreProvider(ScoreProvider):
     A mention corefers with a cell when its normalized token string equals
     the string of any mention previously assigned to that cell. Every
     candidate span counts as a mention (mention_score +1); remaining_score
-    counts identical normalized strings later in the candidate list.
+    counts identical normalized strings later in the candidate list, and a
+    cell's remaining score is that count summed over the cell's strings.
+
+    The per-slot counts are kept current by the hooks rather than summed
+    per query: observe_action records the strings each slot's entity
+    holds, and mention_begin takes the current mention off the count of
+    every slot holding its string. step_scores and observe_action
+    therefore rely on the engine's contract: mention_begin(index, mention)
+    names the mention's position in the list given to start_document, and
+    every cell queried is the one observe_action last reported for its
+    slot.
     """
 
     def __init__(self, config: StringMatchConfig | None = None):
         self.config = config or StringMatchConfig()
-        self._norm: dict[MentionSpan, str] = {}
+        self._texts: list[str] = []  # normalized strings in processing order
+        self._text = ""  # the current mention's
         self._future: Counter[str] = Counter()
-        self._cell_strings: dict[int, set[str]] = {}
-        self._doc: Document | None = None
+        # Per slot: the occupying entity's strings and their summed future
+        # count; plus, per string, the slots holding it.
+        self._slot_strings: list[set[str]] = []
+        self._slot_future: list[float] = []
+        self._holders: dict[str, set[int]] = {}
 
     def _normalize(self, doc: Document, span: MentionSpan) -> str:
-        cached = self._norm.get(span)
-        if cached is not None and doc is self._doc:
-            return cached
         words = list(doc.tokens[span.start : span.end + 1])
         if self.config.strip_determiners:
             while len(words) > 1 and words[0].lower() in _DETERMINERS:
@@ -175,32 +282,43 @@ class StringMatchScoreProvider(ScoreProvider):
         text = " ".join(words)
         if self.config.lowercase:
             text = text.lower()
-        return text
+        # Equal strings share one object, so the per-step lookups touch as
+        # many objects as there are distinct strings, not mentions.
+        return sys.intern(text)
 
     def start_document(self, doc: Document, mentions: Sequence[MentionSpan]) -> None:
-        self._doc = doc
-        self._norm = {}
-        for span in mentions:
-            self._norm[span] = self._normalize(doc, span)
-        self._future = Counter(self._norm[m] for m in mentions)
-        self._cell_strings = {}
+        self._texts = [self._normalize(doc, m) for m in mentions]
+        self._future = Counter(self._texts)
+        self._slot_strings = []
+        self._slot_future = []
+        self._holders = {}
 
     def mention_begin(self, index: int, mention: MentionSpan) -> None:
-        self._future[self._norm[mention]] -= 1
+        text = self._text = self._texts[index]
+        self._future[text] -= 1
+        for slot in self._holders.get(text, ()):
+            self._slot_future[slot] -= 1.0
+
+    def step_scores(
+        self, doc: Document, mention: MentionSpan, cells: Sequence[EntityCell]
+    ) -> ScoreRow:
+        text = self._text
+        s_c = [-1.0] * len(cells)
+        for slot in self._holders.get(text, ()):
+            s_c[slot] = 1.0
+        return ScoreRow(1.0, tuple(s_c), tuple(self._slot_future), float(self._future[text]))
 
     def mention_score(self, doc: Document, mention: MentionSpan) -> float:
         return 1.0
 
     def coref_score(self, doc: Document, mention: MentionSpan, cell: EntityCell) -> float:
-        text = self._normalize(doc, mention)
-        if text in self._cell_strings.get(cell.cell_id, ()):
+        if self._normalize(doc, mention) in self._slot_strings[cell.slot]:
             return 1.0
         return -1.0
 
     def remaining_score(self, doc: Document, item: MentionSpan | EntityCell) -> float:
         if isinstance(item, EntityCell):
-            strings = self._cell_strings.get(item.cell_id, ())
-            return float(sum(self._future[s] for s in strings))
+            return self._slot_future[item.slot]
         return float(self._future[self._normalize(doc, item)])
 
     def observe_action(
@@ -208,53 +326,40 @@ class StringMatchScoreProvider(ScoreProvider):
     ) -> None:
         if cell is None:
             return
-        text = self._normalize(self._doc, mention)
+        text = self._text
+        slot = cell.slot
         if action.kind is ActionKind.COREF:
-            self._cell_strings[cell.cell_id].add(text)
+            strings = self._slot_strings[slot]
+            if text not in strings:
+                strings.add(text)
+                self._holders.setdefault(text, set()).add(slot)
+                self._slot_future[slot] += self._future[text]
         elif action.kind in (ActionKind.NEW_ENTITY, ActionKind.EVICT):
-            self._cell_strings[cell.cell_id] = {text}
+            if slot == len(self._slot_strings):
+                self._slot_strings.append({text})
+                self._slot_future.append(float(self._future[text]))
+            else:
+                for old in self._slot_strings[slot]:
+                    self._holders[old].discard(slot)
+                self._slot_strings[slot] = {text}
+                self._slot_future[slot] = float(self._future[text])
+            self._holders.setdefault(text, set()).add(slot)
 
 
 def string_match_scorer(config: StringMatchConfig | None = None) -> StringMatchScoreProvider:
     return StringMatchScoreProvider(config)
 
 
-@dataclass(frozen=True)
-class ScoreRow:
-    """All scores for one mention step, with per-cell values in slot order."""
-
-    s_m: float
-    s_c: tuple[float, ...]
-    f_r_cells: tuple[float, ...]
-    f_r_mention: float
-
-    def to_obj(self) -> dict:
-        return {
-            "s_m": self.s_m,
-            "s_c": list(self.s_c),
-            "f_r_cells": list(self.f_r_cells),
-            "f_r_mention": self.f_r_mention,
-        }
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "ScoreRow":
-        try:
-            return cls(
-                s_m=float(obj["s_m"]),
-                s_c=tuple(float(v) for v in obj["s_c"]),
-                f_r_cells=tuple(float(v) for v in obj["f_r_cells"]),
-                f_r_mention=float(obj["f_r_mention"]),
-            )
-        except (KeyError, TypeError, ValueError) as e:
-            raise ValueError(f"malformed score row: {e}") from e
-
-
 def load_score_rows(path: str | Path) -> list[ScoreRow]:
+    """Read a replay file; a line that is not a well-formed row raises ParseError."""
     rows = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             if line.strip():
-                rows.append(ScoreRow.from_obj(json.loads(line)))
+                try:
+                    rows.append(ScoreRow.from_obj(json.loads(line)))
+                except ValueError as e:  # json.JSONDecodeError is a ValueError
+                    raise ParseError(str(e), path=str(path), line=line_no) from None
     return rows
 
 
@@ -268,8 +373,10 @@ class ReplayScoreProvider(ScoreProvider):
     """Serves scores verbatim from pre-recorded rows, one row per mention.
 
     Rows run in processing order and continue across documents, so one
-    provider replays a whole corpus run. Any query outside the recorded
-    shape raises ScoreShapeMismatch with the offending mention's index.
+    provider replays a whole corpus run. step_scores returns the row itself
+    once its per-cell lists match the cells in memory exactly; any query
+    outside the recorded shape raises ScoreShapeMismatch with the offending
+    mention's index, and check_exhausted does so for rows left over.
     """
 
     def __init__(self, rows: Sequence[ScoreRow]):
@@ -282,6 +389,14 @@ class ReplayScoreProvider(ScoreProvider):
 
     def rewind(self) -> None:
         self._cursor = -1
+
+    def check_exhausted(self) -> None:
+        """Raise ScoreShapeMismatch unless every row has been served."""
+        used = self._cursor + 1
+        if used < len(self._rows):
+            raise ScoreShapeMismatch(
+                used, f"file holds {len(self._rows)} rows but the run used {used}"
+            )
 
     def _row(self) -> ScoreRow:
         if self._cursor < 0:
@@ -298,6 +413,18 @@ class ReplayScoreProvider(ScoreProvider):
             raise ScoreShapeMismatch(
                 self._cursor, f"file holds only {len(self._rows)} rows"
             )
+
+    def step_scores(
+        self, doc: Document, mention: MentionSpan, cells: Sequence[EntityCell]
+    ) -> ScoreRow:
+        row = self._row()
+        if len(row.s_c) != len(cells) or len(row.f_r_cells) != len(cells):
+            raise ScoreShapeMismatch(
+                self._cursor,
+                f"row has {len(row.s_c)} coref and {len(row.f_r_cells)} remaining "
+                f"scores for {len(cells)} cells in memory",
+            )
+        return row
 
     def mention_score(self, doc: Document, mention: MentionSpan) -> float:
         return self._row().s_m
@@ -328,65 +455,24 @@ def replay_scorer(path: str | Path) -> ReplayScoreProvider:
 
 
 class RecordingScoreProvider(ScoreProvider):
-    """Wraps a provider and captures every step's scores as replay rows.
-
-    Relies on the engine querying the full score tuple each step (it does);
-    captured values are keyed by cell slot, so query order does not matter.
-    """
+    """Wraps a provider and keeps every step's row as a replay row."""
 
     def __init__(self, inner: ScoreProvider):
         self.inner = inner
         self.rows: list[ScoreRow] = []
-        self._s_m: float | None = None
-        self._s_c: dict[int, float] = {}
-        self._f_r: dict[int, float] = {}
-        self._f_r_mention: float | None = None
-        self._open = False
-
-    def _flush(self) -> None:
-        if not self._open:
-            return
-        s_c = tuple(self._s_c[i] for i in range(len(self._s_c)))
-        f_r = tuple(self._f_r[i] for i in range(len(self._f_r)))
-        self.rows.append(
-            ScoreRow(
-                s_m=self._s_m if self._s_m is not None else 0.0,
-                s_c=s_c,
-                f_r_cells=f_r,
-                f_r_mention=self._f_r_mention if self._f_r_mention is not None else 0.0,
-            )
-        )
-        self._open = False
 
     def start_document(self, doc: Document, mentions: Sequence[MentionSpan]) -> None:
         self.inner.start_document(doc, mentions)
 
     def mention_begin(self, index: int, mention: MentionSpan) -> None:
-        self._flush()
-        self._s_m = None
-        self._s_c = {}
-        self._f_r = {}
-        self._f_r_mention = None
-        self._open = True
         self.inner.mention_begin(index, mention)
 
-    def mention_score(self, doc: Document, mention: MentionSpan) -> float:
-        value = self.inner.mention_score(doc, mention)
-        self._s_m = value
-        return value
-
-    def coref_score(self, doc: Document, mention: MentionSpan, cell: EntityCell) -> float:
-        value = self.inner.coref_score(doc, mention, cell)
-        self._s_c[cell.slot] = value
-        return value
-
-    def remaining_score(self, doc: Document, item: MentionSpan | EntityCell) -> float:
-        value = self.inner.remaining_score(doc, item)
-        if isinstance(item, EntityCell):
-            self._f_r[item.slot] = value
-        else:
-            self._f_r_mention = value
-        return value
+    def step_scores(
+        self, doc: Document, mention: MentionSpan, cells: Sequence[EntityCell]
+    ) -> ScoreRow:
+        row = self.inner.step_scores(doc, mention, cells)
+        self.rows.append(row)
+        return row
 
     def gold_entity_id(self, doc: Document, mention: MentionSpan) -> int | None:
         return self.inner.gold_entity_id(doc, mention)
@@ -397,7 +483,6 @@ class RecordingScoreProvider(ScoreProvider):
         self.inner.observe_action(index, mention, action, cell)
 
     def end_document(self) -> None:
-        self._flush()
         self.inner.end_document()
 
     def save(self, path: str | Path) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 
 class ConfigError(ValueError):
@@ -114,23 +114,32 @@ class Action:
         elif self.cell is not None:
             raise ValueError(f"{self.kind.value} carries no cell index")
 
+    # Actions are immutable, so each constructor builds a given action once
+    # and then hands out the same instance: an engine run allocates no
+    # Action per mention. The caches hold one entry per slot index used.
+
     @classmethod
+    @cache
     def coref(cls, cell: int) -> "Action":
         return cls(ActionKind.COREF, cell)
 
     @classmethod
+    @cache
     def new_entity(cls) -> "Action":
         return cls(ActionKind.NEW_ENTITY)
 
     @classmethod
+    @cache
     def evict(cls, cell: int) -> "Action":
         return cls(ActionKind.EVICT, cell)
 
     @classmethod
+    @cache
     def ignore_capacity(cls) -> "Action":
         return cls(ActionKind.IGNORE_CAPACITY)
 
     @classmethod
+    @cache
     def ignore_invalid(cls) -> "Action":
         return cls(ActionKind.IGNORE_INVALID)
 

@@ -6,13 +6,22 @@ hide inside its own test oracle.
 """
 
 from collections import Counter, defaultdict
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from streamcoref import Action, ActionKind, Document, ScoreRow
+from streamcoref import (
+    Action,
+    ActionKind,
+    Document,
+    EntityCell,
+    MemoryPolicy,
+    ScoreProvider,
+    ScoreRow,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +144,115 @@ def rows_from_actions(actions: list[Action]) -> list[ScoreRow]:
         if action.kind is ActionKind.NEW_ENTITY:
             slots += 1
     return rows
+
+
+# ---------------------------------------------------------------------------
+# the per-cell engine loop: reference for batched scoring
+
+
+def reference_run(doc, mentions, scores, policy):
+    """Run one document the way the engine did before batched scoring.
+
+    Each step makes 2M + 2 scalar provider queries over M cells, decides
+    with its own copy of the policy rules, and rebuilds frozen tuples of
+    cells. Returns the actions, the score rows the step consulted, and the
+    number of cells in memory after each step.
+    """
+    cells: tuple = ()
+    next_id = 0
+    actions, rows, sizes = [], [], []
+    scores.start_document(doc, mentions)
+    for i, mention in enumerate(mentions):
+        scores.mention_begin(i, mention)
+        row = ScoreRow(
+            float(scores.mention_score(doc, mention)),
+            tuple(float(scores.coref_score(doc, mention, c)) for c in cells),
+            tuple(float(scores.remaining_score(doc, c)) for c in cells),
+            float(scores.remaining_score(doc, mention)),
+        )
+        rows.append(row)
+        action = _reference_decide(cells, row, policy)
+        touched = None
+        if action.kind is ActionKind.COREF:
+            touched = replace(cells[action.cell], last_use_ordinal=i)
+            cells = cells[: action.cell] + (touched,) + cells[action.cell + 1 :]
+        elif action.kind in (ActionKind.NEW_ENTITY, ActionKind.EVICT):
+            slot = len(cells) if action.cell is None else action.cell
+            touched = EntityCell(next_id, slot, i, scores.gold_entity_id(doc, mention))
+            next_id += 1
+            cells = cells[:slot] + (touched,) + cells[slot + 1 :]
+        actions.append(action)
+        sizes.append(len(cells))
+        scores.observe_action(i, mention, action, touched)
+    scores.end_document()
+    return actions, rows, sizes
+
+
+def _reference_decide(cells, row, policy) -> Action:
+    if cells:
+        top = max(range(len(cells)), key=lambda k: row.s_c[k])
+        if row.s_c[top] > 0.0:
+            return Action.coref(top)
+    if policy.policy is MemoryPolicy.UNBOUNDED_STAR:
+        return Action.new_entity()
+    if policy.capacity is None or len(cells) < policy.capacity:
+        return Action.new_entity() if row.s_m > 0.0 else Action.ignore_invalid()
+    if policy.policy is MemoryPolicy.LEARNED_BOUNDED:
+        candidates = list(range(len(cells)))
+    else:
+        candidates = [min(range(len(cells)), key=lambda k: cells[k].last_use_ordinal)]
+    vector = [row.f_r_cells[k] for k in candidates] + [row.f_r_mention, row.s_m]
+    d = min(range(len(vector)), key=vector.__getitem__)
+    if d < len(candidates):
+        return Action.evict(candidates[d])
+    if d == len(candidates):
+        return Action.ignore_capacity()
+    return Action.ignore_invalid()
+
+
+class ReferenceStringMatch(ScoreProvider):
+    """String matching scored per query: a cell's remaining score sums the
+    future counts of its strings every time it is asked."""
+
+    def __init__(self, lowercase=True, strip_determiners=False):
+        self.lowercase = lowercase
+        self.strip_determiners = strip_determiners
+
+    def _text(self, doc, span):
+        words = list(doc.tokens[span.start : span.end + 1])
+        if self.strip_determiners:
+            while len(words) > 1 and words[0].lower() in ("the", "a", "an"):
+                words.pop(0)
+        text = " ".join(words)
+        return text.lower() if self.lowercase else text
+
+    def start_document(self, doc, mentions):
+        self.doc = doc
+        self.future = Counter(self._text(doc, m) for m in mentions)
+        self.strings = {}
+
+    def mention_begin(self, index, mention):
+        self.future[self._text(self.doc, mention)] -= 1
+
+    def mention_score(self, doc, mention):
+        return 1.0
+
+    def coref_score(self, doc, mention, cell):
+        return 1.0 if self._text(doc, mention) in self.strings.get(cell.cell_id, ()) else -1.0
+
+    def remaining_score(self, doc, item):
+        if isinstance(item, EntityCell):
+            return float(sum(self.future[s] for s in self.strings.get(item.cell_id, ())))
+        return float(self.future[self._text(doc, item)])
+
+    def observe_action(self, index, mention, action, cell):
+        if cell is None:
+            return
+        text = self._text(self.doc, mention)
+        if action.kind is ActionKind.COREF:
+            self.strings[cell.cell_id].add(text)
+        else:
+            self.strings[cell.cell_id] = {text}
 
 
 # ---------------------------------------------------------------------------

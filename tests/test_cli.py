@@ -11,7 +11,15 @@ import pytest
 
 import streamcoref
 from conftest import doc_to_conll, has_crossing_spans
-from streamcoref import load_jsonl, synthesize_corpus, write_jsonl
+from streamcoref import (
+    Document,
+    MemoryPolicy,
+    PolicyConfig,
+    load_jsonl,
+    oracle_trackable_fraction,
+    synthesize_corpus,
+    write_jsonl,
+)
 from streamcoref.cli import main
 
 
@@ -215,6 +223,54 @@ def test_replay_shape_error_exit_code(tmp_path, corpus):
     assert run_cli("run", path, "--scorer", f"replay:{rows}") == 4
 
 
+def test_replay_row_with_extra_cells_exit_4(tmp_path, corpus, capsys):
+    _, path = corpus
+    rows = tmp_path / "rows.jsonl"
+    assert run_cli("run", path, "--record-scores", rows) == 0
+    lines = [json.loads(l) for l in rows.read_text().splitlines()]
+    lines[0]["s_c"].append(-1.0)
+    lines[0]["f_r_cells"].append(0.0)
+    rows.write_text("".join(json.dumps(l) + "\n" for l in lines), encoding="utf-8")
+    pred = tmp_path / "pred.jsonl"
+    assert run_cli("run", path, "--scorer", f"replay:{rows}", "--out", pred) == 4
+    assert "mention 0:" in capsys.readouterr().err
+    assert not pred.exists()
+
+
+def test_replay_rows_left_over_exit_4(tmp_path, corpus, capsys):
+    docs, path = corpus
+    rows = tmp_path / "rows.jsonl"
+    assert run_cli("run", path, "--record-scores", rows) == 0
+    one = tmp_path / "one.jsonl"
+    write_jsonl(docs[:1], one)
+    pred = tmp_path / "pred.jsonl"
+    assert run_cli("run", one, "--scorer", f"replay:{rows}", "--out", pred) == 4
+    assert "rows but the run used" in capsys.readouterr().err
+    assert not pred.exists()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda line: "{not json",
+        lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "s_c"}),
+        lambda line: line.replace('"s_m": 1.0', '"s_m": NaN'),
+    ],
+    ids=["not-json", "missing-key", "nan-s_m"],
+)
+def test_malformed_replay_file_exit_2(tmp_path, corpus, capsys, edit):
+    _, path = corpus
+    rows = tmp_path / "rows.jsonl"
+    assert run_cli("run", path, "--record-scores", rows) == 0
+    lines = rows.read_text().splitlines()
+    edited = edit(lines[2])
+    assert edited != lines[2]
+    lines[2] = edited
+    rows.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run_cli("run", path, "--scorer", f"replay:{rows}") == 2
+    assert f"{rows}:3:" in capsys.readouterr().err
+
+
 def test_run_proposal_ratio(tmp_path, corpus, capsys):
     _, path = corpus
     pred = tmp_path / "pred.jsonl"
@@ -303,6 +359,34 @@ def test_oracle_writes_trace_with_remaining(tmp_path, corpus, capsys):
     assert len(headers) == len(docs)
     assert len(steps) == sum(len(d.gold_mentions()) for d in docs)
     assert all("remaining" in s and "mention" in s for s in steps)
+
+
+def test_oracle_traces_each_document_once(monkeypatch, corpus, capsys):
+    import streamcoref.cli
+    import streamcoref.oracle
+
+    docs, path = corpus
+    calls = []
+    real = streamcoref.oracle.oracle_trace
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(streamcoref.cli, "oracle_trace", counted)
+    monkeypatch.setattr(streamcoref.oracle, "oracle_trace", counted)
+    assert run_cli("oracle", path, "--policy", "lb", "--capacity", 1) == 0
+    assert len(calls) == len(docs)
+    want = oracle_trackable_fraction(docs, PolicyConfig(MemoryPolicy.LEARNED_BOUNDED, 1))
+    assert want < 1.0
+    assert f"trackable_fraction   {want:.6f}" in capsys.readouterr().out
+
+
+def test_oracle_without_gold_mentions_is_fully_trackable(tmp_path, capsys):
+    path = tmp_path / "empty.jsonl"
+    write_jsonl([Document(doc_id="e", tokens=("x", "y"))], path)
+    assert run_cli("oracle", path, "--policy", "lb", "--capacity", 1) == 0
+    assert "trackable_fraction   1.000000" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from streamcoref import (
     Action,
     ScoreRow,
     ActionKind,
-    DimensionMismatchError,
     Document,
     EntityCell,
     GoldCluster,
@@ -19,20 +18,17 @@ from streamcoref import (
     PolicyConfig,
     ReplayScoreProvider,
     SingletonMode,
-    StepScores,
     clusters_from_actions,
     decide_lb,
     decide_rb,
     decide_unbounded,
     gold_scorer,
-    mention_representation,
     run_document,
     step,
     string_match_scorer,
     synthesize_corpus,
-    update_entity,
 )
-from streamcoref.engine import REPR_DIM, lru_slot
+from streamcoref.engine import lru_slot
 from streamcoref.ingest import order_mentions
 
 UNBOUNDED = PolicyConfig(MemoryPolicy.UNBOUNDED)
@@ -47,14 +43,8 @@ def rb(capacity):
     return PolicyConfig(MemoryPolicy.RULE_BOUNDED, capacity=capacity)
 
 
-def make_cell(slot, representation=(2.0,), count=1, ordinal=0) -> EntityCell:
-    return EntityCell(
-        cell_id=slot,
-        slot=slot,
-        representation=tuple(representation),
-        mention_count=count,
-        last_use_ordinal=ordinal,
-    )
+def make_cell(slot, ordinal=0) -> EntityCell:
+    return EntityCell(cell_id=slot, slot=slot, last_use_ordinal=ordinal)
 
 
 def make_state(ordinals, capacity) -> MemoryState:
@@ -67,53 +57,10 @@ def make_state(ordinals, capacity) -> MemoryState:
     )
 
 
-def scores_for(s_m, s_c, f_r_cells, f_r_mention) -> StepScores:
-    return StepScores(
+def scores_for(s_m, s_c, f_r_cells, f_r_mention) -> ScoreRow:
+    return ScoreRow(
         s_m=s_m, s_c=tuple(s_c), f_r_cells=tuple(f_r_cells), f_r_mention=f_r_mention
     )
-
-
-# ---------------------------------------------------------------------------
-# entity updates and representations
-
-
-def test_update_entity_running_mean():
-    cell = make_cell(0, representation=(2.0,), count=1)
-    out = update_entity(cell, (4.0,))
-    assert out.representation == (3.0,)
-    assert out.mention_count == 2
-
-    cell = make_cell(0, representation=(1.0, 1.0), count=3)
-    out = update_entity(cell, (5.0, 9.0))
-    assert out.representation == (2.0, 3.0)
-    assert out.mention_count == 4
-
-
-def test_update_entity_rejects_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        update_entity(make_cell(0, representation=(1.0, 2.0)), (1.0,))
-
-
-@given(st.lists(st.floats(-100, 100), min_size=2, max_size=9))
-def test_update_entity_folds_to_component_mean(values):
-    cell = make_cell(0, representation=(values[0],), count=1)
-    for v in values[1:]:
-        cell = update_entity(cell, (v,))
-    assert cell.mention_count == len(values)
-    assert cell.representation[0] == pytest.approx(
-        sum(values) / len(values), rel=1e-9, abs=1e-9
-    )
-
-
-def test_mention_representation_unit_and_deterministic():
-    doc = Document(doc_id="d", tokens=("alpha", "beta", "alpha"))
-    a1 = mention_representation(doc, MentionSpan(0, 0))
-    a2 = mention_representation(doc, MentionSpan(2, 2))
-    b = mention_representation(doc, MentionSpan(1, 1))
-    assert len(a1) == REPR_DIM
-    assert a1 == a2  # same surface string, same vector
-    assert a1 != b
-    assert sum(x * x for x in a1) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from streamcoref import (
     string_match_scorer,
     synthesize_corpus,
 )
-from streamcoref.ingest import order_mentions
+from streamcoref.ingest import ParseError, order_mentions
 from streamcoref.scoring import dump_score_rows, load_score_rows
 
 
@@ -34,8 +34,6 @@ def cell(slot=0, entity=None, cell_id=None) -> EntityCell:
     return EntityCell(
         cell_id=cell_id if cell_id is not None else slot,
         slot=slot,
-        representation=(0.0,) * 16,
-        mention_count=1,
         last_use_ordinal=0,
         gold_entity_id=entity,
     )
@@ -214,6 +212,67 @@ def test_replay_slot_overflow_fails():
         provider.coref_score(SM_DOC, MentionSpan(0, 0), cell(slot=1))
     with pytest.raises(ScoreShapeMismatch):
         provider.remaining_score(SM_DOC, cell(slot=3))
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ("not json", "Expecting value"),
+        ('{"s_m": 1.0, "s_c": [], "f_r_cells": []}', "missing key 'f_r_mention'"),
+        ('{"s_m": NaN, "s_c": [], "f_r_cells": [], "f_r_mention": 1.0}', "NaN"),
+        ('{"s_m": 1.0, "s_c": [NaN], "f_r_cells": [1.0], "f_r_mention": 1.0}', "NaN"),
+        ('{"s_m": 1.0, "s_c": [1.0], "f_r_cells": [NaN], "f_r_mention": 1.0}', "NaN"),
+        ('{"s_m": 1.0, "s_c": [], "f_r_cells": [], "f_r_mention": "nan"}', "NaN"),
+        ('{"s_m": 1.0, "s_c": 3, "f_r_cells": [], "f_r_mention": 1.0}', "malformed"),
+        ('{"s_m": 1.0, "s_c": "12", "f_r_cells": [], "f_r_mention": 1.0}', "list"),
+    ],
+)
+def test_load_score_rows_names_the_bad_line(tmp_path, line, reason):
+    path = tmp_path / "rows.jsonl"
+    good = json.dumps(ScoreRow(1.0, (), (), 1.0).to_obj())
+    path.write_text(f"{good}\n{line}\n{good}\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_score_rows(path)
+    assert err.value.line == 2
+    assert err.value.path == str(path)
+    assert reason in str(err.value)
+
+
+def test_load_score_rows_keeps_infinities(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text(
+        '{"s_m": Infinity, "s_c": [-Infinity], "f_r_cells": [1e999], "f_r_mention": 0}\n',
+        encoding="utf-8",
+    )
+    inf = float("inf")
+    assert load_score_rows(path) == [ScoreRow(inf, (-inf,), (inf,), 0.0)]
+
+
+def test_replay_row_must_match_memory_exactly():
+    rows = [ScoreRow(1.0, (0.5,), (2.0,), 1.0), ScoreRow(1.0, (0.5,), (), 1.0)]
+    provider = ReplayScoreProvider(rows)
+    provider.mention_begin(0, MentionSpan(0, 0))
+    with pytest.raises(ScoreShapeMismatch) as err:
+        provider.step_scores(SM_DOC, MentionSpan(0, 0), [])  # one cell too many
+    assert err.value.mention_index == 0
+    provider.mention_begin(1, MentionSpan(1, 1))
+    with pytest.raises(ScoreShapeMismatch):
+        provider.step_scores(SM_DOC, MentionSpan(1, 1), [cell(slot=0)])
+    provider.rewind()
+    provider.mention_begin(0, MentionSpan(0, 0))
+    assert provider.step_scores(SM_DOC, MentionSpan(0, 0), [cell(slot=0)]) is rows[0]
+
+
+def test_replay_rows_left_over_fail():
+    provider = ReplayScoreProvider([ScoreRow(1.0, (), (), 1.0)] * 3)
+    provider.mention_begin(0, MentionSpan(0, 0))
+    with pytest.raises(ScoreShapeMismatch) as err:
+        provider.check_exhausted()
+    assert err.value.mention_index == 1
+    assert "3 rows" in str(err.value)
+    provider.mention_begin(1, MentionSpan(1, 1))
+    provider.mention_begin(2, MentionSpan(2, 2))
+    provider.check_exhausted()
 
 
 def test_replay_rewind():

@@ -129,6 +129,19 @@ def test_action_cell_discipline():
         Action(ActionKind.IGNORE_INVALID, cell=1)
 
 
+def test_action_factories_share_instances():
+    assert Action.coref(3) is Action.coref(3)
+    assert Action.evict(3) is Action.evict(3)
+    assert Action.coref(3) is not Action.evict(3)
+    assert Action.new_entity() is Action.new_entity()
+    assert Action.ignore_capacity() is Action.ignore_capacity()
+    assert Action.ignore_invalid() is Action.ignore_invalid()
+    # an invalid index still raises each time rather than being cached
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            Action.evict(-1)
+
+
 @given(
     st.sampled_from([ActionKind.COREF, ActionKind.EVICT]),
     st.integers(min_value=0, max_value=500),
