@@ -36,7 +36,6 @@ from .engine import (
     step,
 )
 from .ingest import (
-    CorpusSource,
     MalformedColumnError,
     ParseError,
     SchemaError,

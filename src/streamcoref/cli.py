@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass
+from contextlib import closing, contextmanager
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, TextIO
 
 from . import __version__
 from .analytics import (
@@ -28,36 +26,21 @@ from .analytics import (
     per_document_stats,
     spread_histogram,
 )
-from .engine import ClusteringResult, run_document, trace_objs
 from .ingest import (
     MentionSpan,
     ParseError,
-    detect_format,
-    load_conll,
+    SourceLine,
     order_mentions,
+    read_chunks,
     read_corpus,
     write_jsonl,
 )
 from .metrics import CountAccumulator, ScoreReport
 from .oracle import capacity_ignores, oracle_trace, trackable_fraction
-from .scoring import (
-    RecordingScoreProvider,
-    ReplayScoreProvider,
-    ScoreShapeMismatch,
-    StringMatchConfig,
-    dump_score_rows,
-    gold_scorer,
-    propose_top_spans,
-    string_match_scorer,
-)
+from .pipeline import RunSpec, ordered_outputs, worker_count
+from .scoring import ReplayScoreProvider, ScoreShapeMismatch, StringMatchConfig
 from .synth import synthesize_corpus
-from .types import (
-    ConfigError,
-    Document,
-    MemoryPolicy,
-    PolicyConfig,
-    SingletonMode,
-)
+from .types import ConfigError, MemoryPolicy, PolicyConfig, SingletonMode
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -68,26 +51,6 @@ EXIT_ALIGN = 5
 
 class DocIdMismatch(ValueError):
     """Gold and prediction files disagree on which documents exist."""
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce a run plus digests of its outputs."""
-
-    version: str
-    config: dict
-    documents: tuple[dict, ...]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "version": self.version,
-                "config": self.config,
-                "documents": list(self.documents),
-            },
-            indent=2,
-            sort_keys=True,
-        )
 
 
 def _err(message) -> None:
@@ -111,12 +74,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         default="auto",
         help="input format (default: by file extension)",
     )
-    sub.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes (default: COREF_JOBS or 1)",
-    )
 
 
 def _policy_from_args(args) -> PolicyConfig:
@@ -129,50 +86,6 @@ def _policy_from_args(args) -> PolicyConfig:
         capacity=capacity,
         singleton_mode=SingletonMode(getattr(args, "singletons", "keep")),
     )
-
-
-def _document_mentions(doc: Document, ratio: float | None) -> list[MentionSpan]:
-    candidates = list(doc.candidate_mentions)
-    if not candidates:
-        candidates = [(s, 0.0) for s in doc.gold_mentions()]
-    if ratio is not None and len(doc) >= 1:
-        return propose_top_spans(candidates, ratio, len(doc))
-    spans, _ = order_mentions(s for s, _ in candidates)
-    return spans
-
-
-def _make_provider(kind: str, cfg, doc: Document):
-    if kind == "gold":
-        return gold_scorer(doc)
-    if kind == "string-match":
-        return string_match_scorer(cfg)
-    raise ConfigError(f"unknown scorer {kind!r}")
-
-
-def _cluster_task(task) -> dict:
-    doc, policy, scorer_kind, scorer_cfg, ratio, record = task
-    mentions = _document_mentions(doc, ratio)
-    provider = _make_provider(scorer_kind, scorer_cfg, doc)
-    if record:
-        provider = RecordingScoreProvider(provider)
-    result = run_document(doc, mentions, provider, policy)
-    return {
-        "doc_id": doc.doc_id,
-        "mentions": mentions,
-        "result": result,
-        "rows": list(provider.rows) if record else None,
-    }
-
-
-def _parallel_map(worker, tasks, jobs: int) -> list:
-    if jobs <= 1 or len(tasks) <= 1:
-        return [worker(t) for t in tasks]
-    results = [None] * len(tasks)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = {pool.submit(worker, t): i for i, t in enumerate(tasks)}
-        for fut in as_completed(futures):
-            results[futures[fut]] = fut.result()
-    return results
 
 
 def _parse_scorer(spec: str) -> tuple[str, object]:
@@ -188,8 +101,64 @@ def _parse_scorer(spec: str) -> tuple[str, object]:
     raise ConfigError(f"unknown scorer {spec!r} (use gold, string-match, or replay:PATH)")
 
 
-def _clusters_json(result: ClusteringResult) -> list:
-    return [[m.as_pair() for m in cluster] for cluster in result.predicted_clusters]
+@contextmanager
+def _staged(paths: dict[str, str | None]) -> Iterator[dict[str, TextIO]]:
+    """Open a temporary file beside each given target path.
+
+    The files replace their targets only when the block completes; on any
+    error they are deleted, so a failed run leaves no output behind.
+    """
+    files: dict[str, TextIO] = {}
+    done = False
+    try:
+        for key, path in paths.items():
+            if path:
+                target = Path(path)
+                tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+                files[key] = open(tmp, "x", encoding="utf-8")
+        yield files
+        done = True
+    finally:
+        for fh in files.values():
+            fh.close()
+        for key, fh in files.items():
+            if done:
+                os.replace(fh.name, paths[key])
+            else:
+                os.unlink(fh.name)
+
+
+class _ManifestWriter:
+    """Streams the run manifest: everything needed to reproduce the run,
+    a digest of each document's clusters and a sha256 of each input file.
+
+    The text equals json.dumps(manifest, indent=2, sort_keys=True), whose
+    key order (config, documents, input_digests, version) lets the
+    document entries be written as they come.
+    """
+
+    def __init__(self, fh: TextIO, config: dict):
+        self.fh = fh
+        head = json.dumps({"config": config}, indent=2, sort_keys=True)
+        fh.write(head[: -len("\n}")] + ',\n  "documents": [')
+        self.entries = 0
+
+    def add(self, doc_id: str, digest: str) -> None:
+        entry = json.dumps({"digest": digest, "doc_id": doc_id}, indent=2, sort_keys=True)
+        sep = "," if self.entries else ""
+        self.fh.write(sep + "\n    " + entry.replace("\n", "\n    "))
+        self.entries += 1
+
+    def finish(self, input_digests: list[tuple[str, str]]) -> None:
+        tail = json.dumps(
+            {
+                "input_digests": [{"path": p, "sha256": h} for p, h in input_digests],
+                "version": __version__,
+            },
+            indent=2,
+            sort_keys=True,
+        )
+        self.fh.write(("\n  ]" if self.entries else "]") + "," + tail[1:] + "\n")
 
 
 def cmd_run(args) -> int:
@@ -199,105 +168,89 @@ def cmd_run(args) -> int:
     if ratio is not None and not 0 < ratio < math.inf:
         raise ConfigError(f"--proposal-ratio must be positive and finite, got {ratio}")
     jobs = _resolve_jobs(args)
-    docs = read_corpus(args.inputs, args.format)
-    record = args.record_scores is not None
-
     match_cfg = StringMatchConfig(
         lowercase=not args.no_lowercase,
         strip_determiners=args.strip_determiners,
     )
-
-    if scorer_kind == "replay":
-        # Replay rows are positional across the corpus, so this path is
-        # sequential regardless of --jobs.
-        provider = ReplayScoreProvider.from_file(scorer_arg)
-        recorder = RecordingScoreProvider(provider) if record else None
-        outs = []
-        for doc in docs:
-            mentions = _document_mentions(doc, args.proposal_ratio)
-            result = run_document(doc, mentions, recorder or provider, policy)
-            outs.append(
-                {"doc_id": doc.doc_id, "mentions": mentions, "result": result}
-            )
-        provider.check_exhausted()
-        recorded_rows = list(recorder.rows) if recorder else None
-    else:
-        cfg = match_cfg if scorer_kind == "string-match" else None
-        tasks = [
-            (doc, policy, scorer_kind, cfg, args.proposal_ratio, record)
-            for doc in docs
-        ]
-        outs = _parallel_map(_cluster_task, tasks, jobs)
-        recorded_rows = None
-        if record:
-            recorded_rows = [row for o in outs for row in o["rows"]]
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for o in outs:
-                fh.write(
-                    json.dumps(
-                        {"doc_id": o["doc_id"], "clusters": _clusters_json(o["result"])}
-                    )
-                    + "\n"
-                )
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            for o in outs:
-                fh.write(json.dumps({"doc_id": o["doc_id"]}) + "\n")
-                for obj in trace_objs(o["mentions"], o["result"].stats.actions):
-                    fh.write(json.dumps(obj) + "\n")
-    if record:
-        dump_score_rows(recorded_rows, args.record_scores)
-    if args.manifest:
-        documents = tuple(
-            {
-                "doc_id": o["doc_id"],
-                "digest": hashlib.sha256(
-                    json.dumps(_clusters_json(o["result"])).encode()
-                ).hexdigest(),
-            }
-            for o in outs
-        )
-        manifest = RunManifest(
-            version=__version__,
-            config={
-                "command": "run",
-                "policy": policy.policy.value,
-                "capacity": policy.capacity,
-                "scorer": args.scorer,
-                "singletons": policy.singleton_mode.value,
-                "proposal_ratio": args.proposal_ratio,
-                "lowercase": match_cfg.lowercase,
-                "strip_determiners": match_cfg.strip_determiners,
-                "format": args.format,
-                "inputs": [str(p) for p in args.inputs],
-                "seed": None,
-            },
-            documents=documents,
-        )
-        Path(args.manifest).write_text(manifest.to_json() + "\n", encoding="utf-8")
-
-    steps = sum(len(o["mentions"]) for o in outs)
-    stats = [o["result"].stats for o in outs]
-    pooled_avg = (
-        sum(s.avg_entities_in_memory * len(o["mentions"]) for s, o in zip(stats, outs))
-        / steps
-        if steps
-        else 0.0
+    spec = RunSpec(
+        policy=policy,
+        scorer=scorer_kind,
+        match=match_cfg,
+        ratio=ratio,
+        trace=bool(args.trace),
+        record=args.record_scores is not None,
+        manifest=bool(args.manifest),
     )
-    peak = max((s.max_entities_in_memory for s in stats), default=0)
+    # Replay rows are positional across the corpus, so replay runs in this
+    # process whatever --jobs says.
+    replay = ReplayScoreProvider.from_file(scorer_arg) if scorer_kind == "replay" else None
+    corpus_bytes = sum(os.path.getsize(p) for p in args.inputs)
+    workers = 1 if replay else worker_count(jobs, corpus_bytes)
+
+    docs = steps = peak = ignored_cap = ignored_inv = evictions = 0
+    entity_steps = 0.0
+    digests: list[tuple[str, str]] = []
+    targets = {
+        "out": args.out,
+        "trace": args.trace,
+        "rows": args.record_scores,
+        "manifest": args.manifest,
+    }
+    with _staged(targets) as files:
+        out, trace, rows = files.get("out"), files.get("trace"), files.get("rows")
+        manifest = None
+        if args.manifest:
+            manifest = _ManifestWriter(
+                files["manifest"],
+                {
+                    "command": "run",
+                    "policy": policy.policy.value,
+                    "capacity": policy.capacity,
+                    "scorer": args.scorer,
+                    "singletons": policy.singleton_mode.value,
+                    "proposal_ratio": args.proposal_ratio,
+                    "lowercase": match_cfg.lowercase,
+                    "strip_determiners": match_cfg.strip_determiners,
+                    "format": args.format,
+                    "inputs": [str(p) for p in args.inputs],
+                    "seed": None,
+                },
+            )
+        chunks = read_chunks(args.inputs, args.format, digests if manifest else None)
+        with closing(ordered_outputs(spec, chunks, workers, replay)) as outputs:
+            for o in outputs:
+                docs += 1
+                steps += o.mentions
+                entity_steps += o.entity_steps
+                peak = max(peak, o.max_entities)
+                ignored_cap += o.ignored_capacity
+                ignored_inv += o.ignored_invalid
+                evictions += o.evictions
+                if out:
+                    out.write(o.prediction)
+                if trace:
+                    trace.write(o.trace)
+                if rows:
+                    rows.write(o.rows)
+                if manifest:
+                    manifest.add(o.doc_id, o.digest)
+        if replay:
+            replay.check_exhausted()
+        if manifest:
+            manifest.finish(digests)
+
+    pooled_avg = entity_steps / steps if steps else 0.0
     capacity_txt = "none" if policy.capacity is None else str(policy.capacity)
-    print(f"documents            {len(docs)}")
+    print(f"documents            {docs}")
     print(
         f"policy               {policy.policy.value} "
         f"(capacity {capacity_txt}, singletons {policy.singleton_mode.value})"
     )
     print(f"scorer               {args.scorer}")
     print(f"entities in memory   avg {pooled_avg:.2f}, max {peak}")
-    print(f"ignored (capacity)   {sum(s.ignored_capacity_count for s in stats)}")
-    print(f"ignored (invalid)    {sum(s.ignored_invalid_count for s in stats)}")
-    print(f"evictions            {sum(s.eviction_count for s in stats)}")
+    print(f"ignored (capacity)   {ignored_cap}")
+    print(f"ignored (invalid)    {ignored_inv}")
+    print(f"evictions            {evictions}")
     return EXIT_OK
 
 
@@ -385,36 +338,34 @@ def _load_cluster_file(path: str, fmt: str) -> dict[str, list[list[MentionSpan]]
 
 
 def _cluster_records(path: str, fmt: str) -> Iterator[tuple[str, list[list[MentionSpan]]]]:
-    actual = detect_format(path) if fmt == "auto" else fmt
-    if actual == "conll":
-        for d in load_conll(path):
-            yield d.doc_id, [list(c.mentions) for c in d.gold_clusters]
-        return
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"invalid JSON: {e.msg}", path=path, line=line_no)
-            if not isinstance(obj, dict) or "doc_id" not in obj:
-                raise ParseError("expected an object with doc_id", path=path, line=line_no)
-            if "clusters" in obj:
-                clusters = [
-                    [MentionSpan(int(s), int(e)) for s, e in cluster]
-                    for cluster in obj["clusters"]
-                ]
-            elif "gold_clusters" in obj:
-                clusters = [
-                    [MentionSpan(int(s), int(e)) for s, e in cluster]
-                    for cluster in obj["gold_clusters"]
-                ]
+    for chunk in read_chunks([path], fmt):
+        for item in chunk:
+            if isinstance(item, SourceLine):
+                yield _cluster_record(item)
             else:
-                raise ParseError(
-                    "expected clusters or gold_clusters", path=path, line=line_no
-                )
-            yield obj["doc_id"], clusters
+                yield item.doc_id, [list(c.mentions) for c in item.gold_clusters]
+
+
+def _cluster_record(line: SourceLine) -> tuple[str, list[list[MentionSpan]]]:
+    """doc_id and clusters of a predictions line or a corpus line."""
+    try:
+        obj = json.loads(line.text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid JSON: {e.msg}", path=line.path, line=line.line_no)
+    if not isinstance(obj, dict) or not isinstance(obj.get("doc_id"), str):
+        raise ParseError(
+            "expected an object with a string doc_id", path=line.path, line=line.line_no
+        )
+    key = "clusters" if "clusters" in obj else "gold_clusters"
+    if key not in obj:
+        raise ParseError(
+            "expected clusters or gold_clusters", path=line.path, line=line.line_no
+        )
+    try:
+        clusters = [[MentionSpan(int(s), int(e)) for s, e in cluster] for cluster in obj[key]]
+    except (TypeError, ValueError):
+        raise ParseError(f"ill-typed {key}", path=line.path, line=line.line_no) from None
+    return obj["doc_id"], clusters
 
 
 def _report_table(report: ScoreReport) -> str:
@@ -512,6 +463,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--trace", help="action trace JSONL")
     p_run.add_argument("--record-scores", help="write queried scores as a replay file")
     p_run.add_argument("--manifest", help="write a reproducibility manifest")
+    p_run.add_argument(
+        "--jobs",
+        type=int,
+        default=None,
+        help="worker processes, capped at the CPU count (default: COREF_JOBS or 1)",
+    )
     _add_common(p_run)
     p_run.set_defaults(func=cmd_run)
 
@@ -542,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--min-entities", type=int, default=1)
     p_synth.add_argument("--extra-candidates", type=int, default=0)
     p_synth.add_argument("--out", required=True)
-    _add_common(p_synth)
     p_synth.set_defaults(func=cmd_synth)
 
     return parser

@@ -11,21 +11,27 @@ the most recent unclosed open with the same id.
 The JSON-lines format carries one document per line; see parse_jsonl for
 the schema. parse -> serialize -> parse is the identity on documents that
 came from JSON lines (gold entity ids are positional there).
+
+Both parsers check every document invariant (validate_document) and raise
+ParseError naming the file and line. read_chunks is the one reader of
+corpus files: it streams them in input order as chunks of raw JSON lines
+(parsed later, possibly in a worker process, by chunk_documents) or parsed
+column-format documents, and can hash each file's bytes as they pass.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from collections import defaultdict
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .types import Document, GoldCluster, MentionSpan, validate_document
+from .types import Document, GoldCluster, MentionSpan, PicklableError, validate_document
 
 
-class ParseError(ValueError):
+class ParseError(PicklableError, ValueError):
     """Input could not be interpreted; carries file path and line number."""
 
     def __init__(self, message: str, *, path: str = "<input>", line: int | None = None):
@@ -50,6 +56,13 @@ class SchemaError(ParseError):
                  detail: str = "missing or ill-typed"):
         self.key = key
         super().__init__(f"{detail} key {key!r}", path=path, line=line)
+
+
+def _validated(doc: Document, path: str, line_no: int | None) -> Document:
+    problems = validate_document(doc)
+    if problems:
+        raise ParseError(f"invalid document: {problems[0]}", path=path, line=line_no)
+    return doc
 
 
 _BEGIN = re.compile(r"#begin document \((?P<name>[^)]*)\)(?:; part (?P<part>\d+))?\s*$")
@@ -137,13 +150,14 @@ class _DocAccumulator:
                 if span not in seen:
                     seen.add(span)
                     candidates.append(span)
-        return Document(
+        doc = Document(
             doc_id=doc_id,
             tokens=tuple(self.tokens),
             sentence_boundaries=tuple(self.boundaries),
             candidate_mentions=tuple((s, 0.0) for s in sorted(candidates)),
             gold_clusters=gold,
         )
+        return _validated(doc, path, self.begin_line)
 
 
 def parse_conll(text: str, path: str = "<string>") -> list[Document]:
@@ -151,11 +165,16 @@ def parse_conll(text: str, path: str = "<string>") -> list[Document]:
 
     Each part of a multi-part source becomes its own Document; documents
     with no gold mentions are kept. Candidate mentions default to the set
-    of gold mentions with score 0.
+    of gold mentions with score 0. A document that breaks an invariant
+    (say, one span in two clusters) raises ParseError at its #begin line.
     """
-    docs: list[Document] = []
+    return list(_conll_documents(enumerate(text.splitlines(), start=1), path))
+
+
+def _conll_documents(lines: Iterable[tuple[int, str]], path: str) -> Iterator[Document]:
+    """Documents of a column-formatted file, each as soon as its #end line is read."""
     acc: _DocAccumulator | None = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in lines:
         line = raw.rstrip()
         if line.startswith("#begin document"):
             if acc is not None:
@@ -167,7 +186,7 @@ def parse_conll(text: str, path: str = "<string>") -> list[Document]:
         elif line.startswith("#end document"):
             if acc is None:
                 raise ParseError("#end document without #begin", path=path, line=line_no)
-            docs.append(acc.finish(path))
+            yield acc.finish(path)
             acc = None
         elif acc is None:
             if not line.strip() or line.startswith("#"):
@@ -183,7 +202,6 @@ def parse_conll(text: str, path: str = "<string>") -> list[Document]:
         raise UnbalancedBracketError(
             "missing #end document", path=path, line=acc.begin_line
         )
-    return docs
 
 
 def _require(obj: dict, key: str, path: str, line_no: int | None):
@@ -275,10 +293,7 @@ def parse_jsonl(line: str, *, path: str = "<string>", line_no: int | None = None
         candidate_mentions=tuple(candidates),
         gold_clusters=tuple(gold),
     )
-    problems = validate_document(doc)
-    if problems:
-        raise ParseError(f"invalid document: {problems[0]}", path=path, line=line_no)
-    return doc
+    return _validated(doc, path, line_no)
 
 
 def document_to_obj(doc: Document) -> dict:
@@ -304,17 +319,11 @@ def document_to_jsonl(doc: Document) -> str:
 
 
 def load_jsonl(path: str | Path) -> list[Document]:
-    docs = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line.strip():
-                docs.append(parse_jsonl(line, path=str(path), line_no=line_no))
-    return docs
+    return read_corpus([path], "jsonl")
 
 
 def load_conll(path: str | Path) -> list[Document]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_conll(fh.read(), path=str(path))
+    return read_corpus([path], "conll")
 
 
 def write_jsonl(docs: Iterable[Document], path: str | Path) -> None:
@@ -333,32 +342,107 @@ def detect_format(path: str | Path) -> str:
     return "jsonl"
 
 
-@dataclass(frozen=True)
-class CorpusSource:
-    """One or more corpus files in a single format ("conll" or "jsonl")."""
+# A chunk closes once the source bytes it holds reach this budget (a chunk
+# always holds at least one document). It is the unit of work a worker
+# process gets, so it trades per-chunk overhead against load balance.
+CHUNK_BYTES = 1 << 16
 
-    format: str
-    paths: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if self.format not in ("conll", "jsonl"):
-            raise ValueError(f"unknown corpus format {self.format!r}")
-        if not self.paths:
-            raise ValueError("a corpus source needs at least one path")
+class SourceLine(NamedTuple):
+    """One non-blank line of a JSON-lines file, not yet parsed."""
 
-    def load(self) -> list[Document]:
-        docs: list[Document] = []
-        for p in self.paths:
-            docs.extend(load_conll(p) if self.format == "conll" else load_jsonl(p))
-        return docs
+    path: str
+    line_no: int
+    text: str
+
+
+def _file_lines(path: str, digests: list | None) -> Iterator[tuple[int, int, str]]:
+    """(line number, byte count, text) per line; a line ends at "\\n".
+
+    With digests given, appends (path, sha256 of the file's bytes) once
+    the whole file has been read.
+    """
+    hasher = hashlib.sha256() if digests is not None else None
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            if hasher is not None:
+                hasher.update(raw)
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise ParseError(f"not UTF-8: {e.reason}", path=path, line=line_no) from None
+            yield line_no, len(raw), text
+    if hasher is not None:
+        digests.append((path, hasher.hexdigest()))
+
+
+def _jsonl_items(path: str, digests: list | None) -> Iterator[tuple[int, SourceLine]]:
+    for line_no, size, text in _file_lines(path, digests):
+        if text.strip():
+            yield size, SourceLine(path, line_no, text)
+
+
+def _conll_items(path: str, digests: list | None) -> Iterator[tuple[int, Document]]:
+    read = 0
+
+    def lines():
+        nonlocal read
+        for line_no, size, text in _file_lines(path, digests):
+            read += size
+            yield line_no, text
+
+    done = 0
+    for doc in _conll_documents(lines(), path):
+        yield read - done, doc
+        done = read
+
+
+def read_chunks(
+    paths: Sequence[str | Path], fmt: str = "auto", digests: list | None = None
+) -> Iterator[list[SourceLine | Document]]:
+    """The corpus in input order, as chunks of about CHUNK_BYTES of source.
+
+    A chunk holds SourceLines of JSON-lines files and Documents of column
+    files (which are parsed here); chunk_documents turns either into
+    Documents. fmt is "auto" (by file extension), "conll" or "jsonl".
+    With digests given, (path, sha256 hex) of each file is appended to it
+    once the file has been read. A file that cannot be read or parsed
+    raises only after the chunk of documents read before it, so its error
+    surfaces in input order relative to errors in those documents.
+    """
+    chunk: list[SourceLine | Document] = []
+    size = 0
+    try:
+        for p in paths:
+            actual = detect_format(p) if fmt == "auto" else fmt
+            if actual not in ("conll", "jsonl"):
+                raise ValueError(f"unknown corpus format {actual!r}")
+            items = _conll_items if actual == "conll" else _jsonl_items
+            for cost, item in items(str(p), digests):
+                chunk.append(item)
+                size += cost
+                if size >= CHUNK_BYTES:
+                    yield chunk
+                    chunk, size = [], 0
+    except (OSError, ParseError):
+        if chunk:
+            yield chunk
+        raise
+    if chunk:
+        yield chunk
+
+
+def chunk_documents(chunk: Iterable[SourceLine | Document]) -> Iterator[Document]:
+    """Parse (and validate) a chunk's documents one at a time, in order."""
+    for item in chunk:
+        if isinstance(item, SourceLine):
+            yield parse_jsonl(item.text, path=item.path, line_no=item.line_no)
+        else:
+            yield item
 
 
 def read_corpus(paths: Sequence[str | Path], fmt: str = "auto") -> list[Document]:
-    docs: list[Document] = []
-    for p in paths:
-        actual = detect_format(p) if fmt == "auto" else fmt
-        docs.extend(CorpusSource(actual, (str(p),)).load())
-    return docs
+    return [doc for chunk in read_chunks(paths, fmt) for doc in chunk_documents(chunk)]
 
 
 def order_mentions(spans: Iterable[MentionSpan]) -> tuple[list[MentionSpan], int]:

@@ -49,7 +49,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .ingest import ParseError
-from .types import Action, ActionKind, Document, MentionSpan
+from .types import Action, ActionKind, Document, MentionSpan, PicklableError
 
 
 @dataclass(slots=True)
@@ -117,7 +117,7 @@ def _scores(values) -> tuple[float, ...]:
     return tuple(map(_score, values))
 
 
-class ScoreShapeMismatch(RuntimeError):
+class ScoreShapeMismatch(PicklableError, RuntimeError):
     """The replay file does not hold the scores the run needs."""
 
     def __init__(self, mention_index: int, message: str):

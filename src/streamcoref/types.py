@@ -14,6 +14,23 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 
+def _restore_error(cls, args):
+    return cls.__new__(cls, *args)
+
+
+class PicklableError:
+    """Mixin for exceptions whose __init__ formats its arguments.
+
+    Default exception pickling calls __init__ again with the formatted
+    message, which formats it twice or fails. These errors are rebuilt from
+    their message and attributes instead, so an error raised in a worker
+    process reaches the parent with the same type, text and fields.
+    """
+
+    def __reduce__(self):
+        return (_restore_error, (type(self), self.args), self.__dict__)
+
+
 class ConfigError(ValueError):
     """Contradictory or incomplete policy configuration."""
 

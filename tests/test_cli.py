@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, file outputs, and exit codes."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import streamcoref
+import streamcoref.ingest
 from conftest import doc_to_conll, has_crossing_spans
 from streamcoref import (
     Document,
@@ -159,18 +161,110 @@ def test_manifest_records_string_match_options(tmp_path, corpus):
     assert (strip["lowercase"], strip["strip_determiners"]) == (True, True)
 
 
-def test_run_parallel_matches_sequential(tmp_path, corpus):
+def test_run_parallel_matches_sequential(tmp_path, corpus, monkeypatch, capsys):
     _, path = corpus
-    seq = tmp_path / "seq.jsonl"
-    par = tmp_path / "par.jsonl"
-    assert run_cli("run", path, "--policy", "rb", "--capacity", 2, "--out", seq) == 0
-    assert (
-        run_cli(
-            "run", path, "--policy", "rb", "--capacity", 2, "--jobs", 3, "--out", par
+    # Small chunks: the pool gets several, more than its window holds.
+    monkeypatch.setattr(streamcoref.ingest, "CHUNK_BYTES", 600)
+    outputs = ("pred.jsonl", "trace.jsonl", "manifest.json", "rows.jsonl")
+    for scorer in ("gold", "string-match"):
+        runs = []
+        for jobs in (1, 2, 3):
+            out = tmp_path / f"{scorer}-{jobs}"
+            out.mkdir()
+            code = run_cli(
+                "run", path, "--scorer", scorer, "--policy", "rb", "--capacity", 2,
+                "--jobs", jobs, "--out", out / outputs[0], "--trace", out / outputs[1],
+                "--manifest", out / outputs[2], "--record-scores", out / outputs[3],
+            )
+            assert code == 0
+            runs.append(
+                [capsys.readouterr().out] + [(out / name).read_bytes() for name in outputs]
+            )
+        assert runs[0] == runs[1] == runs[2], scorer
+
+
+def test_worker_count():
+    from streamcoref.ingest import CHUNK_BYTES
+    from streamcoref.pipeline import worker_count
+
+    big = CHUNK_BYTES + 1
+    assert worker_count(64, big, cpus=2) == 2
+    assert worker_count(3, big, cpus=8) == 3
+    assert worker_count(0, big, cpus=4) == 1
+    assert worker_count(8, CHUNK_BYTES, cpus=8) == 1  # one chunk: no pool
+    assert 1 <= worker_count(10**6, big) <= (os.cpu_count() or 1)
+
+
+def test_jobs_is_a_run_option_only(corpus):
+    _, path = corpus
+    for argv in (("analyze", path), ("oracle", path, "--policy", "unbounded"),
+                 ("score", path, path)):
+        with pytest.raises(SystemExit):
+            run_cli(*argv, "--jobs", 2)
+
+
+def test_bad_line_fails_alike_under_any_jobs(tmp_path, corpus, monkeypatch, capsys):
+    docs, path = corpus
+    lines = path.read_text().splitlines(keepends=True)
+    lines[6] = '{"doc_id": "d7", "tokens": ["a"], "gold_clusters": [[[0, 0]], [[0, 0]]]}\n'
+    lines[10] = "{not json\n"  # a later error, in a later chunk
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(lines))
+    monkeypatch.setattr(streamcoref.ingest, "CHUNK_BYTES", 600)
+    errors = []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        out.mkdir()
+        code = run_cli(
+            "run", bad, "--jobs", jobs, "--out", out / "pred.jsonl",
+            "--trace", out / "trace.jsonl", "--manifest", out / "manifest.json",
+            "--record-scores", out / "rows.jsonl",
         )
-        == 0
-    )
-    assert seq.read_bytes() == par.read_bytes()
+        assert code == 2
+        errors.append(capsys.readouterr().err)
+        assert list(out.iterdir()) == []  # no output and no temporary file
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"error: {bad}:7: invalid document: duplicate gold mention")
+
+
+def test_errors_are_reported_in_input_order(tmp_path, corpus, monkeypatch, capsys):
+    _, path = corpus
+    monkeypatch.setattr(streamcoref.ingest, "CHUNK_BYTES", 600)
+    lines = path.read_text().splitlines(keepends=True)
+    first = tmp_path / "first.jsonl"
+    first.write_text("".join(lines[:5]) + '{"doc_id": "d"}\n')  # parsed with its chunk
+    second = tmp_path / "second.jsonl"
+    second.write_bytes(b"\xff\n")  # fails in the reader, which runs ahead
+    errors = []
+    for jobs in (1, 2):
+        assert run_cli("run", first, second, "--jobs", jobs) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == f"error: {first}:6: missing key 'tokens'\n"
+
+
+def test_manifest_records_input_digests(tmp_path, corpus):
+    docs, path = corpus
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("\n")
+
+    def manifest_of(*inputs):
+        manifest = tmp_path / "manifest.json"
+        assert run_cli("run", *inputs, "--manifest", manifest) == 0
+        text = manifest.read_text()
+        obj = json.loads(text)
+        assert text == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        return obj
+
+    assert manifest_of(empty)["documents"] == []
+    before = manifest_of(path, empty)["input_digests"]
+    assert before == [
+        {"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()},
+        {"path": str(empty), "sha256": hashlib.sha256(b"\n").hexdigest()},
+    ]
+    write_jsonl(docs[:-1], path)
+    after = manifest_of(path, empty)["input_digests"]
+    assert after[0]["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert after[0] != before[0] and after[1] == before[1]
 
 
 def test_run_jobs_env_fallback(tmp_path, corpus, monkeypatch):
@@ -320,6 +414,26 @@ def test_score_doc_id_mismatch_exit_code(tmp_path, capsys):
     assert "not in gold: b" in err
 
 
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ({"doc_id": "a", "clusters": [[["x", 1]]]}, "ill-typed clusters"),
+        ({"doc_id": "a", "clusters": [[[0, 1, 2]]]}, "ill-typed clusters"),
+        ({"doc_id": "a", "clusters": [5]}, "ill-typed clusters"),
+        ({"doc_id": "a", "gold_clusters": "ab"}, "ill-typed gold_clusters"),
+        ({"doc_id": ["a"], "clusters": []}, "expected an object with a string doc_id"),
+    ],
+    ids=["str-bound", "triple", "int-cluster", "string-clusters", "list-doc_id"],
+)
+def test_score_ill_typed_prediction_exit_2(tmp_path, capsys, record, message):
+    gold = tmp_path / "gold.jsonl"
+    pred = tmp_path / "pred.jsonl"
+    gold.write_text(json.dumps({"doc_id": "a", "clusters": [[[0, 1]]]}) + "\n")
+    pred.write_text("\n" + json.dumps(record) + "\n")
+    assert run_cli("score", gold, pred) == 2
+    assert f"{pred}:2: {message}" in capsys.readouterr().err
+
+
 def test_score_duplicate_doc_id_exit_code(tmp_path, capsys):
     gold = tmp_path / "gold.jsonl"
     pred = tmp_path / "pred.jsonl"
@@ -421,10 +535,16 @@ def test_bad_jobs_env_exit_3(corpus, monkeypatch, capsys):
     assert "COREF_JOBS" in capsys.readouterr().err
 
 
-def test_parse_errors_exit_2(tmp_path):
+def test_parse_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.conll"
     bad.write_text("#begin document (x); part 000\nx\t0\t0\ta\tXX\t(1\n#end document\n")
     assert run_cli("analyze", bad) == 2
+    # one span in two gold clusters is rejected from either format
+    dup = tmp_path / "dup.conll"
+    dup.write_text("#begin document (x); part 000\nw0\t(1)|(2)\n#end document\n")
+    capsys.readouterr()
+    assert run_cli("analyze", dup) == 2
+    assert f"{dup}:1: invalid document: duplicate gold mention" in capsys.readouterr().err
     missing = tmp_path / "nope.jsonl"
     assert run_cli("analyze", missing) == 2
     bad_json = tmp_path / "bad.jsonl"
@@ -434,7 +554,8 @@ def test_parse_errors_exit_2(tmp_path):
 
 # ---------------------------------------------------------------------------
 # import budget: importing numpy and scipy dominates CLI start-up, so only a
-# score whose CEAF alignment needs the assignment solver may load them
+# score whose CEAF alignment needs the assignment solver may load them; the
+# process pool's modules load only for a run with more than one worker
 
 _PROBE = """
 import sys
@@ -443,7 +564,8 @@ try:
     main(sys.argv[1:])
 except SystemExit:
     pass
-print(sorted({"numpy", "scipy"} & set(sys.modules)))
+heavy = {"numpy", "scipy", "multiprocessing", "concurrent.futures.process"}
+print(sorted(heavy & set(sys.modules)))
 """
 
 
@@ -469,7 +591,7 @@ def test_package_import_loads_no_numpy_or_scipy():
     [
         ("--version",),
         ("run", "{corpus}", "--scorer", "string-match", "--policy", "lb",
-         "--capacity", "3", "--out", "{tmp}/pred.jsonl"),
+         "--capacity", "3", "--jobs", "1", "--out", "{tmp}/pred.jsonl"),
         ("analyze", "{corpus}"),
         ("oracle", "{corpus}", "--policy", "lb", "--capacity", "3"),
         ("score", "{corpus}", "{corpus}"),  # one-to-one components only

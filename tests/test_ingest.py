@@ -1,6 +1,7 @@
 """Corpus ingestion: column format, JSON lines, ordering, round trips."""
 
 import json
+import pickle
 import random
 import textwrap
 from collections import Counter
@@ -11,12 +12,14 @@ from hypothesis import strategies as st
 
 from conftest import bracket_mention_multiset, doc_to_conll, has_crossing_spans
 from streamcoref import (
+    ConfigError,
     Document,
     GoldCluster,
     MalformedColumnError,
     MentionSpan,
     ParseError,
     SchemaError,
+    ScoreShapeMismatch,
     UnbalancedBracketError,
     order_mentions,
     parse_conll,
@@ -25,7 +28,13 @@ from streamcoref import (
     synthesize_corpus,
     write_jsonl,
 )
-from streamcoref.ingest import detect_format, document_to_jsonl, load_conll, load_jsonl
+from streamcoref.ingest import (
+    detect_format,
+    document_to_jsonl,
+    load_conll,
+    load_jsonl,
+    read_chunks,
+)
 
 BASIC = textwrap.dedent(
     """\
@@ -140,6 +149,60 @@ def test_parse_conll_malformed_coref_field():
 def test_parse_conll_content_outside_block():
     with pytest.raises(ParseError):
         parse_conll("stray\t0\t0\ta\tXX\t-\n")
+
+
+def test_parse_conll_rejects_span_in_two_clusters():
+    text = "#begin document (dup); part 000\nw0\t(1)|(2)\n#end document\n"
+    with pytest.raises(ParseError) as err:
+        parse_conll(text, path="dup.conll")
+    assert (err.value.path, err.value.line) == ("dup.conll", 1)
+    assert "duplicate gold mention (0,0)" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        ParseError("bad thing", path="c.jsonl", line=5),
+        ParseError("no line"),
+        SchemaError("tokens", path="c.jsonl", line=3, detail="missing"),
+        MalformedColumnError("bad field", path="c.conll", line=2),
+        UnbalancedBracketError("never closed", path="c.conll", line=9),
+        ScoreShapeMismatch(4, "row has 2 coref and 2 remaining scores for 3 cells"),
+        ConfigError("bad option"),
+    ],
+    ids=lambda e: type(e).__name__,
+)
+def test_errors_survive_pickle(error):
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error)
+    assert str(back) == str(error)
+    assert back.args == error.args
+    assert vars(back) == vars(error)
+
+
+def test_read_chunks_keeps_order_and_budget(tmp_path, monkeypatch):
+    docs = synthesize_corpus(3, 30)
+    usable = [d for d in docs if not has_crossing_spans(d)]
+    jsonl = tmp_path / "a.jsonl"
+    conll = tmp_path / "b.conll"
+    write_jsonl(docs, jsonl)
+    conll.write_text("".join(doc_to_conll(d) for d in usable), encoding="utf-8")
+    monkeypatch.setattr("streamcoref.ingest.CHUNK_BYTES", 2000)
+    digests = []
+    chunks = list(read_chunks([jsonl, conll], digests=digests))
+    assert len(chunks) > 4
+    assert sum(len(c) for c in chunks) == len(docs) + len(usable)
+    assert read_corpus([jsonl, conll]) == docs + load_conll(conll)
+    assert [p for p, _ in digests] == [str(jsonl), str(conll)]
+
+
+def test_not_utf8_names_the_line(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    write_jsonl(synthesize_corpus(3, 2), path)
+    path.write_bytes(path.read_bytes() + b'{"doc_id": "\xff"}\n')
+    with pytest.raises(ParseError) as err:
+        load_jsonl(path)
+    assert (err.value.path, err.value.line) == (str(path), 3)
 
 
 def test_conll_round_trip_matches_bracket_oracle():
