@@ -10,6 +10,7 @@ dumps from an external model.
 __version__ = "0.1.0"
 
 from .analytics import (
+    CorpusStats,
     EmptyClusterError,
     LengthMismatchError,
     SpreadRecord,
@@ -40,6 +41,7 @@ from .ingest import (
     ParseError,
     SchemaError,
     UnbalancedBracketError,
+    iter_documents,
     load_conll,
     load_jsonl,
     order_mentions,
@@ -82,6 +84,7 @@ from .scoring import (
     StringMatchScoreProvider,
     dump_score_rows,
     gold_scorer,
+    iter_score_rows,
     load_score_rows,
     propose_top_spans,
     replay_scorer,

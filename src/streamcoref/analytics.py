@@ -104,6 +104,15 @@ def spread_records(doc: Document) -> list[SpreadRecord]:
     return out
 
 
+def _count_spreads(counts: list[int], doc: Document, exclude_singletons: bool) -> None:
+    buckets = len(counts)
+    for rec in spread_records(doc):
+        if exclude_singletons and rec.mention_count == 1:
+            continue
+        idx = min(int(rec.spread_fraction * buckets), buckets - 1)
+        counts[idx] += 1
+
+
 def spread_histogram(
     docs: Iterable[Document], buckets: int, exclude_singletons: bool = False
 ) -> list[int]:
@@ -116,11 +125,7 @@ def spread_histogram(
         raise ValueError("need at least one bucket")
     counts = [0] * buckets
     for doc in docs:
-        for rec in spread_records(doc):
-            if exclude_singletons and rec.mention_count == 1:
-                continue
-            idx = min(int(rec.spread_fraction * buckets), buckets - 1)
-            counts[idx] += 1
+        _count_spreads(counts, doc, exclude_singletons)
     return counts
 
 
@@ -128,12 +133,45 @@ def histogram_rows(counts: Sequence[int], buckets: int) -> list[tuple[float, flo
     return [(i / buckets, (i + 1) / buckets, counts[i]) for i in range(buckets)]
 
 
+def document_stats(doc: Document) -> tuple[str, int, int, int]:
+    """(doc_id, max active entities, total entities, doc length)."""
+    return (doc.doc_id, max_active_entities(doc), len(doc.gold_clusters), len(doc))
+
+
 def per_document_stats(docs: Iterable[Document]) -> list[tuple[str, int, int, int]]:
-    """Rows of (doc_id, max active entities, total entities, doc length)."""
-    return [
-        (d.doc_id, max_active_entities(d), len(d.gold_clusters), len(d))
-        for d in docs
-    ]
+    """document_stats of each document."""
+    return [document_stats(d) for d in docs]
+
+
+class CorpusStats:
+    """The corpus statistics folded over documents one at a time.
+
+    add(doc) returns the document's document_stats row and folds the
+    document into the spread histogram (spread_histogram's buckets) and
+    into the corpus maxima: total entities, active entities with and
+    without singletons. Nothing of a document is kept once add returns.
+    """
+
+    def __init__(self, buckets: int, exclude_singletons: bool = False):
+        if buckets < 1:
+            raise ValueError("need at least one bucket")
+        self.exclude_singletons = exclude_singletons
+        self.histogram = [0] * buckets
+        self.documents = 0
+        self.max_total = 0
+        self.max_active = 0
+        self.max_active_no_singletons = 0
+
+    def add(self, doc: Document) -> tuple[str, int, int, int]:
+        row = document_stats(doc)
+        self.documents += 1
+        self.max_active = max(self.max_active, row[1])
+        self.max_total = max(self.max_total, row[2])
+        self.max_active_no_singletons = max(
+            self.max_active_no_singletons, max_active_entities(doc, exclude_singletons=True)
+        )
+        _count_spreads(self.histogram, doc, self.exclude_singletons)
+        return row
 
 
 def _average_ranks(values: Sequence[float]) -> list[float]:

@@ -15,24 +15,20 @@ import math
 import os
 import sys
 from contextlib import closing, contextmanager
+from itertools import chain
 from pathlib import Path
 from typing import Iterator, TextIO
 
 from . import __version__
-from .analytics import (
-    corpus_max_active,
-    corpus_max_total,
-    histogram_rows,
-    per_document_stats,
-    spread_histogram,
-)
+from .analytics import CorpusStats, histogram_rows
 from .ingest import (
     MentionSpan,
     ParseError,
     SourceLine,
+    iter_documents,
+    json_line,
     order_mentions,
     read_chunks,
-    read_corpus,
     write_jsonl,
 )
 from .metrics import CountAccumulator, ScoreReport
@@ -40,7 +36,7 @@ from .oracle import capacity_ignores, oracle_trace, trackable_fraction
 from .pipeline import RunSpec, ordered_outputs, worker_count
 from .scoring import ReplayScoreProvider, ScoreShapeMismatch, StringMatchConfig
 from .synth import synthesize_corpus
-from .types import ConfigError, MemoryPolicy, PolicyConfig, SingletonMode
+from .types import ConfigError, Document, MemoryPolicy, PolicyConfig, SingletonMode
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -106,7 +102,9 @@ def _staged(paths: dict[str, str | None]) -> Iterator[dict[str, TextIO]]:
     """Open a temporary file beside each given target path.
 
     The files replace their targets only when the block completes; on any
-    error they are deleted, so a failed run leaves no output behind.
+    error they are deleted, so a failed run leaves no output behind. They
+    are opened with newline="", so what is written is what lands on disk
+    (the csv module's own line ends included).
     """
     files: dict[str, TextIO] = {}
     done = False
@@ -115,7 +113,7 @@ def _staged(paths: dict[str, str | None]) -> Iterator[dict[str, TextIO]]:
             if path:
                 target = Path(path)
                 tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-                files[key] = open(tmp, "x", encoding="utf-8")
+                files[key] = open(tmp, "x", encoding="utf-8", newline="")
         yield files
         done = True
     finally:
@@ -213,7 +211,6 @@ def cmd_run(args) -> int:
                     "strip_determiners": match_cfg.strip_determiners,
                     "format": args.format,
                     "inputs": [str(p) for p in args.inputs],
-                    "seed": None,
                 },
             )
         chunks = read_chunks(args.inputs, args.format, digests if manifest else None)
@@ -257,87 +254,143 @@ def cmd_run(args) -> int:
 def cmd_analyze(args) -> int:
     if args.buckets < 1:
         raise ConfigError(f"--buckets must be at least 1, got {args.buckets}")
-    docs = read_corpus(args.inputs, args.format)
-    rows = per_document_stats(docs)
-    counts = spread_histogram(docs, args.buckets, args.exclude_singletons)
-
+    targets = {}
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        with open(outdir / "per_document.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["doc_id", "mae", "total_entities", "doc_len"])
-            writer.writerows(rows)
-        with open(
-            outdir / "spread_histogram.csv", "w", newline="", encoding="utf-8"
-        ) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bucket_lo", "bucket_hi", "count"])
-            writer.writerows(histogram_rows(counts, args.buckets))
+        targets = {
+            "per_document": str(outdir / "per_document.csv"),
+            "histogram": str(outdir / "spread_histogram.csv"),
+        }
+    stats = CorpusStats(args.buckets, args.exclude_singletons)
+    with _staged(targets) as files:
+        per_document = csv.writer(files["per_document"]) if files else None
+        if per_document:
+            per_document.writerow(["doc_id", "mae", "total_entities", "doc_len"])
+        # map drops each document once stats.add returns, before the next
+        # one is parsed.
+        for row in map(stats.add, iter_documents(args.inputs, args.format)):
+            if per_document:
+                per_document.writerow(row)
+        if files:
+            histogram = csv.writer(files["histogram"])
+            histogram.writerow(["bucket_lo", "bucket_hi", "count"])
+            histogram.writerows(histogram_rows(stats.histogram, args.buckets))
 
     label_width = 44
-    print(f"{'documents':<{label_width}}{len(docs):>6}")
-    print(f"{'Max. Total Entity Count':<{label_width}}{corpus_max_total(docs):>6}")
-    print(f"{'Max. Active Entity Count':<{label_width}}{corpus_max_active(docs):>6}")
+    print(f"{'documents':<{label_width}}{stats.documents:>6}")
+    print(f"{'Max. Total Entity Count':<{label_width}}{stats.max_total:>6}")
+    print(f"{'Max. Active Entity Count':<{label_width}}{stats.max_active:>6}")
     print(
         f"{'Max. Active Entity Count (no singletons)':<{label_width}}"
-        f"{corpus_max_active(docs, exclude_singletons=True):>6}"
+        f"{stats.max_active_no_singletons:>6}"
     )
     return EXIT_OK
 
 
+def _oracle_document(
+    doc: Document, policy: PolicyConfig, out: TextIO | None
+) -> tuple[int, int]:
+    """Trace one document, write its trace to out if given, and return its
+    (capacity ignores, gold mentions)."""
+    mentions, _ = order_mentions(doc.gold_mentions())
+    steps = oracle_trace(mentions, doc.gold_clusters, policy)
+    if out:
+        out.write(json.dumps({"doc_id": doc.doc_id}) + "\n")
+        for mention, stp in zip(mentions, steps):
+            obj = {"mention": mention.as_pair()}
+            obj.update(stp.action.to_obj())
+            obj["remaining"] = stp.remaining
+            out.write(json.dumps(obj) + "\n")
+    return capacity_ignores(steps), len(steps)
+
+
 def cmd_oracle(args) -> int:
     policy = _policy_from_args(args)
-    docs = read_corpus(args.inputs, args.format)
+    docs = ignored = total = 0
+    with _staged({"out": args.out}) as files:
+        out = files.get("out")
+        traced = map(
+            lambda doc: _oracle_document(doc, policy, out),
+            iter_documents(args.inputs, args.format),
+        )
+        for doc_ignored, doc_total in traced:
+            docs += 1
+            ignored += doc_ignored
+            total += doc_total
 
-    ignored = []
-    total = 0
-    if args.out:
-        fh = open(args.out, "w", encoding="utf-8")
-    else:
-        fh = None
-    try:
-        for doc in docs:
-            mentions, _ = order_mentions(doc.gold_mentions())
-            steps = oracle_trace(mentions, doc.gold_clusters, policy)
-            ignored.append(capacity_ignores(steps))
-            total += len(steps)
-            if fh:
-                fh.write(json.dumps({"doc_id": doc.doc_id}) + "\n")
-                for mention, stp in zip(mentions, steps):
-                    obj = {"mention": mention.as_pair()}
-                    obj.update(stp.action.to_obj())
-                    obj["remaining"] = stp.remaining
-                    fh.write(json.dumps(obj) + "\n")
-    finally:
-        if fh:
-            fh.close()
-
-    fraction = trackable_fraction(sum(ignored), total)
-    mean_ignored = sum(ignored) / len(ignored) if ignored else 0.0
+    fraction = trackable_fraction(ignored, total)
+    mean_ignored = ignored / docs if docs else 0.0
     capacity_txt = "none" if policy.capacity is None else str(policy.capacity)
-    print(f"documents            {len(docs)}")
+    print(f"documents            {docs}")
     print(f"policy               {policy.policy.value} (capacity {capacity_txt})")
     print(f"trackable_fraction   {fraction:.6f}")
     print(f"mean_ignored_per_doc {mean_ignored:.3f}")
     return EXIT_OK
 
 
-def _load_cluster_file(path: str, fmt: str) -> dict[str, list[list[MentionSpan]]]:
-    """Read doc_id -> clusters from a cluster file or a corpus file.
+Clusters = list[list[MentionSpan]]
 
-    Each doc_id may appear once: a repeat would replace the earlier
-    document and silently shrink the corpus being scored.
+
+def _aligned_clusters(
+    gold_path: str, pred_path: str, fmt: str
+) -> Iterator[tuple[Clusters, Clusters]]:
+    """(gold clusters, predicted clusters) per doc_id, in gold file order.
+
+    While both files list the same doc_ids in the same order (as run
+    writes them) they are read in lockstep, holding one document of each
+    and one set of the doc_ids read. From the first doc_id that differs,
+    the rest of the predictions is indexed by doc_id. Raises DocIdMismatch
+    for a doc_id repeated in one file, and, once both files are read, for
+    doc_ids in only one of them.
     """
-    out: dict[str, list[list[MentionSpan]]] = {}
-    for doc_id, clusters in _cluster_records(path, fmt):
-        if doc_id in out:
-            raise DocIdMismatch(f"duplicate doc_id {doc_id!r} in {path}")
-        out[doc_id] = clusters
-    return out
+    golds = _cluster_records(gold_path, fmt)
+    preds = _cluster_records(pred_path, fmt)
+    ids: set[str] = set()  # the doc_ids read in lockstep, from both files
+    while True:
+        gold_rec = next(golds, None)
+        pred_rec = next(preds, None)
+        if gold_rec is None or pred_rec is None or gold_rec[0] != pred_rec[0]:
+            break
+        _add_new(ids, gold_rec[0], gold_path)
+        yield gold_rec[1], pred_rec[1]
+        del gold_rec, pred_rec  # released before the next pair is read
+    if gold_rec is None and pred_rec is None:
+        return
+
+    gold_ids, pred_ids = ids, set(ids)
+    rest: dict[str, Clusters] = {}
+    for pred_id, pred in chain([pred_rec] if pred_rec else [], preds):
+        _add_new(pred_ids, pred_id, pred_path)
+        rest[pred_id] = pred
+    for gold_id, gold in chain([gold_rec] if gold_rec else [], golds):
+        _add_new(gold_ids, gold_id, gold_path)
+        if gold_id in rest:
+            yield gold, rest.pop(gold_id)
+
+    missing_pred = gold_ids - pred_ids
+    missing_gold = pred_ids - gold_ids
+    parts = []
+    if missing_pred:
+        parts.append(f"not in predictions: {', '.join(sorted(missing_pred)[:5])}")
+    if missing_gold:
+        parts.append(f"not in gold: {', '.join(sorted(missing_gold)[:5])}")
+    if parts:
+        raise DocIdMismatch("; ".join(parts))
 
 
-def _cluster_records(path: str, fmt: str) -> Iterator[tuple[str, list[list[MentionSpan]]]]:
+def _add_new(ids: set[str], doc_id: str, path: str) -> None:
+    """Add doc_id to ids; a repeat raises DocIdMismatch.
+
+    A repeat would replace the earlier document and silently shrink the
+    corpus being scored.
+    """
+    if doc_id in ids:
+        raise DocIdMismatch(f"duplicate doc_id {doc_id!r} in {path}")
+    ids.add(doc_id)
+
+
+def _cluster_records(path: str, fmt: str) -> Iterator[tuple[str, Clusters]]:
     for chunk in read_chunks([path], fmt):
         for item in chunk:
             if isinstance(item, SourceLine):
@@ -346,26 +399,52 @@ def _cluster_records(path: str, fmt: str) -> Iterator[tuple[str, list[list[Menti
                 yield item.doc_id, [list(c.mentions) for c in item.gold_clusters]
 
 
-def _cluster_record(line: SourceLine) -> tuple[str, list[list[MentionSpan]]]:
-    """doc_id and clusters of a predictions line or a corpus line."""
-    try:
-        obj = json.loads(line.text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e.msg}", path=line.path, line=line.line_no)
+def _cluster_record(line: SourceLine) -> tuple[str, Clusters]:
+    """doc_id and clusters of a predictions line or a corpus line.
+
+    The clusters must partition the mentions, which is what the metrics
+    are defined for: a span is a pair of integers and appears once, and a
+    cluster is not empty (MUC would count it as -1 links).
+    """
+    where = {"path": line.path, "line": line.line_no}
+    obj = json_line(line.text, path=line.path, line_no=line.line_no)
     if not isinstance(obj, dict) or not isinstance(obj.get("doc_id"), str):
-        raise ParseError(
-            "expected an object with a string doc_id", path=line.path, line=line.line_no
-        )
+        raise ParseError("expected an object with a string doc_id", **where)
     key = "clusters" if "clusters" in obj else "gold_clusters"
     if key not in obj:
-        raise ParseError(
-            "expected clusters or gold_clusters", path=line.path, line=line.line_no
-        )
+        raise ParseError("expected clusters or gold_clusters", **where)
+    clusters: Clusters = []
+    seen: set[tuple[int, int]] = set()
     try:
-        clusters = [[MentionSpan(int(s), int(e)) for s, e in cluster] for cluster in obj[key]]
+        for raw in obj[key]:
+            cluster = []
+            for start, end in raw:
+                if type(start) is not int or type(end) is not int:  # bool is not a token index
+                    raise TypeError
+                seen.add((start, end))
+                cluster.append(MentionSpan(start, end))
+            clusters.append(cluster)
     except (TypeError, ValueError):
-        raise ParseError(f"ill-typed {key}", path=line.path, line=line.line_no) from None
+        raise ParseError(f"ill-typed {key}", **where) from None
+    if not all(clusters):
+        raise ParseError(f"empty cluster in {key}", **where)
+    if len(seen) < sum(map(len, clusters)):
+        repeat = _first_repeat(chain.from_iterable(clusters))
+        raise ParseError(
+            f"mention {repeat.as_pair()} appears twice in {key}; a mention belongs to one cluster",
+            **where,
+        )
     return obj["doc_id"], clusters
+
+
+def _first_repeat(spans: Iterator[MentionSpan]) -> MentionSpan:
+    """The first span equal to an earlier one; the caller knows there is one."""
+    seen: set[MentionSpan] = set()
+    for span in spans:
+        if span in seen:
+            return span
+        seen.add(span)
+    raise ValueError("no span repeats")
 
 
 def _report_table(report: ScoreReport) -> str:
@@ -383,23 +462,11 @@ def _report_table(report: ScoreReport) -> str:
 
 
 def cmd_score(args) -> int:
-    gold = _load_cluster_file(args.gold, args.format)
-    pred = _load_cluster_file(args.pred, args.format)
-
-    missing_pred = [d for d in gold if d not in pred]
-    missing_gold = [d for d in pred if d not in gold]
-    if missing_pred or missing_gold:
-        parts = []
-        if missing_pred:
-            parts.append(f"not in predictions: {', '.join(sorted(missing_pred)[:5])}")
-        if missing_gold:
-            parts.append(f"not in gold: {', '.join(sorted(missing_gold)[:5])}")
-        raise DocIdMismatch("; ".join(parts))
-
     drop = args.singletons == "drop"
     acc = CountAccumulator()
-    for doc_id, gold_clusters in gold.items():
-        acc.add(gold_clusters, pred[doc_id], drop_singletons=drop)
+    for gold, pred in _aligned_clusters(args.gold, args.pred, args.format):
+        acc.add(gold, pred, drop_singletons=drop)
+        del gold, pred  # released before the next pair is read
     report = acc.report()
     print(_report_table(report))
     if args.json:

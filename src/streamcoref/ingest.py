@@ -17,6 +17,7 @@ ParseError naming the file and line. read_chunks is the one reader of
 corpus files: it streams them in input order as chunks of raw JSON lines
 (parsed later, possibly in a worker process, by chunk_documents) or parsed
 column-format documents, and can hash each file's bytes as they pass.
+iter_documents yields the parsed documents of those chunks one at a time.
 """
 
 from __future__ import annotations
@@ -204,6 +205,21 @@ def _conll_documents(lines: Iterable[tuple[int, str]], path: str) -> Iterator[Do
         )
 
 
+def json_line(text: str, *, path: str, line_no: int | None):
+    """The JSON value of one input line; ParseError when it is not JSON.
+
+    json.loads also raises a plain ValueError (an integer of more than
+    4300 digits) and RecursionError (deep nesting); both are input faults.
+    """
+    try:
+        return json.loads(text)
+    except ValueError as e:  # json.JSONDecodeError is a ValueError
+        reason = e.msg if isinstance(e, json.JSONDecodeError) else str(e)
+        raise ParseError(f"invalid JSON: {reason}", path=path, line=line_no) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply", path=path, line=line_no) from None
+
+
 def _require(obj: dict, key: str, path: str, line_no: int | None):
     if key not in obj:
         raise SchemaError(key, path=path, line=line_no, detail="missing")
@@ -229,10 +245,7 @@ def parse_jsonl(line: str, *, path: str = "<string>", line_no: int | None = None
     are the positions in the gold_clusters list. The parsed document must
     satisfy every type invariant.
     """
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e.msg}", path=path, line=line_no)
+    obj = json_line(line, path=path, line_no=line_no)
     if not isinstance(obj, dict):
         raise ParseError("document line must be a JSON object", path=path, line=line_no)
 
@@ -441,8 +454,18 @@ def chunk_documents(chunk: Iterable[SourceLine | Document]) -> Iterator[Document
             yield item
 
 
+def iter_documents(paths: Sequence[str | Path], fmt: str = "auto") -> Iterator[Document]:
+    """The corpus's documents in input order, each parsed when asked for.
+
+    A caller that drops each document before asking for the next holds
+    one document and one chunk of source lines at a time.
+    """
+    for chunk in read_chunks(paths, fmt):
+        yield from chunk_documents(chunk)
+
+
 def read_corpus(paths: Sequence[str | Path], fmt: str = "auto") -> list[Document]:
-    return [doc for chunk in read_chunks(paths, fmt) for doc in chunk_documents(chunk)]
+    return list(iter_documents(paths, fmt))
 
 
 def order_mentions(spans: Iterable[MentionSpan]) -> tuple[list[MentionSpan], int]:

@@ -31,11 +31,12 @@ mention_begin before each step, observe_action after each step (with the
 cell the action created, joined or replaced), end_document once. One
 provider serves one engine run at a time.
 
-Replay files are outside input and are checked: a line that is not JSON, a
-row missing a key or holding a NaN raises ParseError with the file and
-line; a row whose per-cell lists do not have one value per cell in memory,
-a run with more mentions than rows, and rows left over after the run raise
-ScoreShapeMismatch.
+Replay files are outside input and are checked as they are read, one row
+per mention: a line that is not JSON, a row missing a key or holding a NaN
+raises ParseError with the file and line; a row whose per-cell lists do not
+have one value per cell in memory, a run with more mentions than rows, and
+rows left over after the run raise ScoreShapeMismatch. Errors therefore
+surface in row order, and rows left over are parsed before they are counted.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .ingest import ParseError
+from .ingest import ParseError, json_line
 from .types import Action, ActionKind, Document, MentionSpan, PicklableError
 
 
@@ -97,7 +98,7 @@ class ScoreRow:
             )
         except KeyError as e:
             raise ValueError(f"malformed score row: missing key {e}") from None
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise ValueError(f"malformed score row: {e}") from None
 
 
@@ -114,7 +115,11 @@ def _scores(values) -> tuple[float, ...]:
     # A string would otherwise be read one character per cell.
     if not isinstance(values, list):
         raise TypeError(f"expected a list of scores, got {type(values).__name__}")
-    return tuple(map(_score, values))
+    # Built from a list, the tuple is allocated at its final size, from
+    # CPython's per-size free list. tuple(map) allocates for a guessed size
+    # and shrinks in place, so over a long replay the free lists would fill
+    # with freed rows (up to 2000 tuples per size) that nothing reuses.
+    return tuple([_score(v) for v in values])
 
 
 class ScoreShapeMismatch(PicklableError, RuntimeError):
@@ -350,17 +355,27 @@ def string_match_scorer(config: StringMatchConfig | None = None) -> StringMatchS
     return StringMatchScoreProvider(config)
 
 
-def load_score_rows(path: str | Path) -> list[ScoreRow]:
-    """Read a replay file; a line that is not a well-formed row raises ParseError."""
-    rows = []
+def iter_score_rows(path: str | Path) -> Iterator[ScoreRow]:
+    """The rows of a replay file, each read and parsed when asked for.
+
+    A line that is not a well-formed row raises ParseError with the file
+    and line once the reader reaches it.
+    """
+    path = str(path)
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if line.strip():
+                obj = json_line(line, path=path, line_no=line_no)
                 try:
-                    rows.append(ScoreRow.from_obj(json.loads(line)))
-                except ValueError as e:  # json.JSONDecodeError is a ValueError
-                    raise ParseError(str(e), path=str(path), line=line_no) from None
-    return rows
+                    row = ScoreRow.from_obj(obj)
+                except ValueError as e:
+                    raise ParseError(str(e), path=path, line=line_no) from None
+                yield row
+
+
+def load_score_rows(path: str | Path) -> list[ScoreRow]:
+    """Every row of a replay file; see iter_score_rows."""
+    return list(iter_score_rows(path))
 
 
 def dump_score_rows(rows: Iterable[ScoreRow], path: str | Path) -> None:
@@ -373,46 +388,47 @@ class ReplayScoreProvider(ScoreProvider):
     """Serves scores verbatim from pre-recorded rows, one row per mention.
 
     Rows run in processing order and continue across documents, so one
-    provider replays a whole corpus run. step_scores returns the row itself
-    once its per-cell lists match the cells in memory exactly; any query
-    outside the recorded shape raises ScoreShapeMismatch with the offending
-    mention's index, and check_exhausted does so for rows left over.
+    provider replays a whole corpus run. It takes the next row from its
+    iterable at each mention_begin and keeps only that row, so replaying
+    from a file (from_file) holds one row whatever the file's length.
+    step_scores returns the row itself once its per-cell lists match the
+    cells in memory exactly; any query outside the recorded shape raises
+    ScoreShapeMismatch with the offending mention's index, and
+    check_exhausted does so for rows left over.
     """
 
-    def __init__(self, rows: Sequence[ScoreRow]):
-        self._rows = list(rows)
+    def __init__(self, rows: Iterable[ScoreRow]):
+        self._rows = iter(rows)
         self._cursor = -1  # global mention counter, -1 before the first step
+        self._current: ScoreRow | None = None
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ReplayScoreProvider":
-        return cls(load_score_rows(path))
-
-    def rewind(self) -> None:
-        self._cursor = -1
+        return cls(iter_score_rows(path))
 
     def check_exhausted(self) -> None:
-        """Raise ScoreShapeMismatch unless every row has been served."""
+        """Raise ScoreShapeMismatch unless every row has been served.
+
+        It reads and parses the rows left, so it ends the replay, and a
+        malformed one raises ParseError before the leftovers are counted.
+        """
         used = self._cursor + 1
-        if used < len(self._rows):
+        left = sum(1 for _ in self._rows)
+        if left:
             raise ScoreShapeMismatch(
-                used, f"file holds {len(self._rows)} rows but the run used {used}"
+                used, f"file holds {used + left} rows but the run used {used}"
             )
 
     def _row(self) -> ScoreRow:
-        if self._cursor < 0:
+        if self._current is None:
             raise ScoreShapeMismatch(0, "score queried before any mention began")
-        if self._cursor >= len(self._rows):
-            raise ScoreShapeMismatch(
-                self._cursor, f"file holds only {len(self._rows)} rows"
-            )
-        return self._rows[self._cursor]
+        return self._current
 
     def mention_begin(self, index: int, mention: MentionSpan) -> None:
         self._cursor += 1
-        if self._cursor >= len(self._rows):
-            raise ScoreShapeMismatch(
-                self._cursor, f"file holds only {len(self._rows)} rows"
-            )
+        self._current = next(self._rows, None)
+        if self._current is None:
+            raise ScoreShapeMismatch(self._cursor, f"file holds only {self._cursor} rows")
 
     def step_scores(
         self, doc: Document, mention: MentionSpan, cells: Sequence[EntityCell]

@@ -22,6 +22,7 @@ from streamcoref import (
     synthesize_corpus,
 )
 from streamcoref.analytics import (
+    CorpusStats,
     corpus_max_active,
     corpus_max_total,
     histogram_rows,
@@ -157,6 +158,21 @@ def test_per_document_stats_shape():
         assert mae == max_active_entities(doc)
         assert total == len(doc.gold_clusters)
         assert length == len(doc)
+
+
+@pytest.mark.parametrize("exclude_singletons", [False, True])
+def test_corpus_stats_fold_matches_the_list_functions(exclude_singletons):
+    docs = synthesize_corpus(19, 40, max_entities=9) + [doc_with([])]
+    stats = CorpusStats(7, exclude_singletons)
+    rows = [stats.add(d) for d in docs]
+    assert rows == per_document_stats(docs)
+    assert stats.histogram == spread_histogram(docs, 7, exclude_singletons)
+    assert stats.documents == len(docs)
+    assert stats.max_total == corpus_max_total(docs)
+    assert stats.max_active == corpus_max_active(docs)
+    assert stats.max_active_no_singletons == corpus_max_active(docs, exclude_singletons=True)
+    with pytest.raises(ValueError):
+        CorpusStats(0)
 
 
 def test_spearman_perfect_orders():

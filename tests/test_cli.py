@@ -101,6 +101,22 @@ def test_analyze_reads_conll(tmp_path, capsys):
 # run + score
 
 
+@pytest.mark.parametrize("command", ["analyze", "oracle"])
+def test_failed_analyze_or_oracle_leaves_no_output(tmp_path, corpus, monkeypatch, capsys, command):
+    docs, path = corpus
+    lines = path.read_text().splitlines(keepends=True)
+    lines[-2] = "{not json\n"  # late: earlier chunks are already written out
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(lines))
+    monkeypatch.setattr(streamcoref.ingest, "CHUNK_BYTES", 600)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [out] if command == "analyze" else [out / "oracle.jsonl", "--policy", "unbounded"]
+    assert run_cli(command, bad, "--out", *argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}:{len(docs) - 1}: invalid JSON")
+    assert list(out.iterdir()) == []  # no output and no temporary file
+
+
 def test_run_gold_unbounded_reproduces_and_scores_100(tmp_path, corpus, capsys):
     docs, path = corpus
     pred = tmp_path / "pred.jsonl"
@@ -142,6 +158,7 @@ def test_run_is_deterministic_and_manifested(tmp_path, corpus):
     manifest = json.loads(outs[0][2])
     assert manifest["config"]["policy"] == "lb"
     assert manifest["config"]["capacity"] == 3
+    assert "seed" not in manifest["config"]  # run takes no seed
     assert all(len(d["digest"]) == 64 for d in manifest["documents"])
 
 
@@ -344,6 +361,33 @@ def test_replay_rows_left_over_exit_4(tmp_path, corpus, capsys):
 
 
 @pytest.mark.parametrize(
+    "case, code, message",
+    [
+        ("bad-row-after-the-last-used-row", 2, ":{rows}: invalid JSON"),
+        ("short-row-before-a-bad-row", 4, "mention 1: row has 0 coref"),
+    ],
+)
+def test_replay_errors_come_in_row_order(tmp_path, corpus, capsys, case, code, message):
+    docs, path = corpus
+    rows = tmp_path / "rows.jsonl"
+    assert run_cli("run", path, "--record-scores", rows) == 0
+    lines = rows.read_text().splitlines()
+    if case == "short-row-before-a-bad-row":
+        row = json.loads(lines[1])
+        row["s_c"], row["f_r_cells"] = [], []  # the second mention meets one cell
+        lines[1] = json.dumps(row)
+        lines[-1] = "{not json"
+    else:
+        lines.append("{not json")
+    rows.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    pred, trace = tmp_path / "pred.jsonl", tmp_path / "trace.jsonl"
+    argv = ("run", path, "--scorer", f"replay:{rows}", "--out", pred, "--trace", trace)
+    assert run_cli(*argv) == code
+    assert message.format(rows=len(lines)) in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "rows.jsonl"]
+
+
+@pytest.mark.parametrize(
     "edit",
     [
         lambda line: "{not json",
@@ -414,6 +458,64 @@ def test_score_doc_id_mismatch_exit_code(tmp_path, capsys):
     assert "not in gold: b" in err
 
 
+@pytest.mark.parametrize("side", ["pred", "gold"])
+def test_score_rejects_a_mention_in_two_clusters(tmp_path, capsys, side):
+    # Scored anyway, this pair printed MUC P 66.7, B3 P 73.3 and CEAF-phi4 90.0.
+    files = {
+        "gold": {
+            "doc_id": "d",
+            "tokens": list("abcd"),
+            "gold_clusters": [[[0, 0], [1, 1]], [[2, 2], [3, 3]]],
+        },
+        "pred": {"doc_id": "d", "clusters": [[[0, 0], [1, 1]], [[1, 1], [2, 2], [3, 3]]]},
+    }
+    paths = {}
+    for name, record in files.items():
+        paths[name] = tmp_path / f"{name}.jsonl"
+        paths[name].write_text("\n" + json.dumps(record) + "\n")
+    order = ("gold", "pred") if side == "pred" else ("pred", "gold")
+    assert run_cli("score", *(paths[name] for name in order)) == 2
+    err = capsys.readouterr().err
+    assert f"{paths['pred']}:2: mention [1, 1] appears twice in clusters" in err
+
+
+def test_score_reads_predictions_in_any_order(tmp_path, corpus, capsys):
+    _, path = corpus
+    pred = tmp_path / "pred.jsonl"
+    assert run_cli("run", path, "--policy", "lb", "--capacity", 2, "--out", pred) == 0
+    capsys.readouterr()
+    lines = pred.read_text().splitlines(keepends=True)
+    shuffled = tmp_path / "shuffled.jsonl"
+    shuffled.write_text("".join(lines[:3] + lines[:2:-1]))  # in order, then reversed
+    reports = []
+    for p in (pred, shuffled):
+        assert run_cli("score", path, p, "--json", tmp_path / "report.json") == 0
+        reports.append((capsys.readouterr().out, (tmp_path / "report.json").read_bytes()))
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize(
+    "gold_ids, pred_ids, message",
+    [
+        ("abc", "abcx", "not in gold: x"),  # after the last gold document
+        ("abcx", "abc", "not in predictions: x"),
+        ("abcx", "acx", "not in predictions: b"),  # out of step from b on
+        ("abcx", "acbxa", "duplicate doc_id 'a' in {pred}"),
+        ("abcx", "abbc", "duplicate doc_id 'b' in {pred}"),
+        ("abbx", "abbx", "duplicate doc_id 'b' in {gold}"),  # in step
+    ],
+)
+def test_score_doc_id_errors_in_or_out_of_step(tmp_path, capsys, gold_ids, pred_ids, message):
+    gold = tmp_path / "gold.jsonl"
+    pred = tmp_path / "pred.jsonl"
+    for path, ids in ((gold, gold_ids), (pred, pred_ids)):
+        path.write_text(
+            "".join(json.dumps({"doc_id": d, "clusters": [[[0, 0], [1, 1]]]}) + "\n" for d in ids)
+        )
+    assert run_cli("score", gold, pred) == 5
+    assert message.format(gold=gold, pred=pred) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "record, message",
     [
@@ -422,8 +524,14 @@ def test_score_doc_id_mismatch_exit_code(tmp_path, capsys):
         ({"doc_id": "a", "clusters": [5]}, "ill-typed clusters"),
         ({"doc_id": "a", "gold_clusters": "ab"}, "ill-typed gold_clusters"),
         ({"doc_id": ["a"], "clusters": []}, "expected an object with a string doc_id"),
+        ({"doc_id": "a", "clusters": [[[0, 1]], []]}, "empty cluster in clusters"),
+        ({"doc_id": "a", "clusters": [[[0, float("inf")]]]}, "ill-typed clusters"),
+        ({"doc_id": "a", "clusters": [[[0.0, 1]]]}, "ill-typed clusters"),
     ],
-    ids=["str-bound", "triple", "int-cluster", "string-clusters", "list-doc_id"],
+    ids=[
+        "str-bound", "triple", "int-cluster", "string-clusters", "list-doc_id",
+        "empty-cluster", "infinite-bound", "float-bound",
+    ],
 )
 def test_score_ill_typed_prediction_exit_2(tmp_path, capsys, record, message):
     gold = tmp_path / "gold.jsonl"

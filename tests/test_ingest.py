@@ -31,6 +31,7 @@ from streamcoref import (
 from streamcoref.ingest import (
     detect_format,
     document_to_jsonl,
+    iter_documents,
     load_conll,
     load_jsonl,
     read_chunks,
@@ -194,6 +195,38 @@ def test_read_chunks_keeps_order_and_budget(tmp_path, monkeypatch):
     assert sum(len(c) for c in chunks) == len(docs) + len(usable)
     assert read_corpus([jsonl, conll]) == docs + load_conll(conll)
     assert [p for p, _ in digests] == [str(jsonl), str(conll)]
+
+
+def test_iter_documents_parses_as_it_goes(tmp_path, monkeypatch):
+    docs = synthesize_corpus(3, 30)
+    path = tmp_path / "a.jsonl"
+    write_jsonl(docs, path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("{not json\n")
+    monkeypatch.setattr("streamcoref.ingest.CHUNK_BYTES", 2000)
+    stream = iter_documents([path])
+    assert [next(stream) for _ in docs] == docs  # read before the bad line
+    with pytest.raises(ParseError) as err:
+        next(stream)
+    assert err.value.line == len(docs) + 1
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ("[" * 5000, "nested too deeply"),  # RecursionError inside json.loads
+        ('{"doc_id": ' + "1" * 5000 + "}", "Exceeds the limit"),  # a plain ValueError
+    ],
+)
+def test_json_lines_beyond_the_decoder_limits_name_the_line(tmp_path, line, reason):
+    path = tmp_path / "a.jsonl"
+    write_jsonl(synthesize_corpus(3, 1), path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    with pytest.raises(ParseError) as err:
+        read_corpus([path])
+    assert (err.value.path, err.value.line) == (str(path), 2)
+    assert reason in str(err.value)
 
 
 def test_not_utf8_names_the_line(tmp_path):

@@ -1,0 +1,176 @@
+"""Fuzzing the replay-row reader and the `score` line reader through the CLI.
+
+The property is the CLI's input contract: a malformed file ends in a named
+error with its documented exit code (2 parse, 4 replay shape, 5 document
+alignment) and leaves no output, or the call succeeds with valid output.
+Any other exception escapes main() and fails the test.
+"""
+
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from streamcoref import synthesize_corpus, write_jsonl
+from streamcoref.cli import main
+
+SETTINGS = settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=5),
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+# Lines no JSON value encodes: broken syntax, deep nesting, a 5000-digit
+# integer (which json.loads rejects with a plain ValueError).
+raw_lines = st.sampled_from(
+    ["{not json", "", "   ", "[" * 5000, "1" * 5000, '{"s_m": 1.0', "﻿{}", "NaN"]
+) | st.text(max_size=20).filter(lambda t: "\n" not in t and "\r" not in t)
+
+
+def _json_line(value) -> str:
+    return json.dumps(value, allow_nan=True)
+
+
+@pytest.fixture(scope="module")
+def replay_case(tmp_path_factory):
+    root = tmp_path_factory.mktemp("replay")
+    corpus = root / "corpus.jsonl"
+    write_jsonl(synthesize_corpus(5, 3, max_entities=3, max_mentions=6), corpus)
+    rows = root / "recorded.jsonl"
+    assert main(["run", str(corpus), "--policy", "lb", "--capacity", "2",
+                 "--record-scores", str(rows)]) == 0
+    return root, corpus, rows.read_text().splitlines()
+
+
+scores = st.floats(allow_nan=True, allow_infinity=True) | st.integers(-3, 3)
+row_objects = st.fixed_dictionaries(
+    {},
+    optional={
+        "s_m": scores | json_values,
+        "s_c": st.lists(scores, max_size=3) | json_values,
+        "f_r_cells": st.lists(scores, max_size=3) | json_values,
+        "f_r_mention": scores | json_values,
+    },
+)
+
+
+@st.composite
+def replay_files(draw, recorded):
+    """A recorded replay file with some rows edited, dropped or added."""
+    lines = list(recorded)
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["replace", "drop", "insert", "append"]))
+        line = draw(
+            st.builds(_json_line, row_objects) | st.builds(_json_line, json_values) | raw_lines
+        )
+        at = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if edit == "replace" and lines:
+            lines[at] = line
+        elif edit == "drop" and lines:
+            del lines[at]
+        elif edit == "insert":
+            lines.insert(at, line)
+        else:
+            lines.append(line)
+    return lines
+
+
+@SETTINGS
+@given(data=st.data())
+def test_replay_reader_fuzz(replay_case, capsys, data):
+    root, corpus, recorded = replay_case
+    lines = data.draw(replay_files(recorded))
+    rows = root / "rows.jsonl"
+    rows.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    pred, trace = root / "pred.jsonl", root / "trace.jsonl"
+    code = main(["run", str(corpus), "--policy", "lb", "--capacity", "2",
+                 "--scorer", f"replay:{rows}", "--out", str(pred), "--trace", str(trace)])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 4)
+    inputs = {"corpus.jsonl", "recorded.jsonl", "rows.jsonl"}
+    outputs = sorted(p.name for p in root.iterdir() if p.name not in inputs)
+    if code == 0:
+        assert outputs == ["pred.jsonl", "trace.jsonl"]
+        pred.unlink()
+        trace.unlink()
+    else:
+        assert err.startswith("error: ")
+        assert outputs == []  # no output and no temporary file
+
+
+@pytest.fixture(scope="module")
+def score_case(tmp_path_factory):
+    root = tmp_path_factory.mktemp("score")
+    gold = root / "gold.jsonl"
+    write_jsonl(synthesize_corpus(6, 3, max_entities=3, max_mentions=6), gold)
+    pred = root / "recorded.jsonl"
+    assert main(["run", str(gold), "--policy", "lb", "--capacity", "1", "--out", str(pred)]) == 0
+    return root, gold, pred.read_text().splitlines()
+
+
+spans = st.lists(st.integers(-2, 12), min_size=2, max_size=2) | json_values
+prediction_objects = st.fixed_dictionaries(
+    {},
+    optional={
+        "doc_id": st.sampled_from(["synth-0000", "synth-0001", "synth-0002"]) | json_values,
+        "clusters": st.lists(st.lists(spans, max_size=4), max_size=4) | json_values,
+        "gold_clusters": st.lists(st.lists(spans, max_size=3), max_size=3),
+    },
+)
+
+
+@st.composite
+def prediction_files(draw, recorded):
+    lines = list(recorded)
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["replace", "drop", "insert", "swap"]))
+        line = draw(
+            st.builds(_json_line, prediction_objects)
+            | st.builds(_json_line, json_values)
+            | raw_lines
+        )
+        at = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if edit == "replace" and lines:
+            lines[at] = line
+        elif edit == "drop" and lines:
+            del lines[at]
+        elif edit == "swap" and len(lines) > 1:
+            lines[at], lines[-1] = lines[-1], lines[at]
+        else:
+            lines.insert(at, line)
+    return lines
+
+
+@SETTINGS
+@given(data=st.data(), pred_first=st.booleans())
+def test_score_reader_fuzz(score_case, capsys, data, pred_first):
+    root, gold, recorded = score_case
+    lines = data.draw(prediction_files(recorded))
+    pred = root / "pred.jsonl"
+    pred.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    report = root / "report.json"
+    report.unlink(missing_ok=True)
+    files = [str(pred), str(gold)] if pred_first else [str(gold), str(pred)]
+    code = main(["score", *files, "--json", str(report)])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 5)
+    if code == 0:
+        values = json.loads(report.read_text())
+        metrics = ("muc", "b_cubed", "ceaf_phi4")
+        assert all(0.0 <= v <= 1.0 for m in metrics for v in values[m].values())
+    else:
+        assert err.startswith("error: ")
+        assert not report.exists()

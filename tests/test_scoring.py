@@ -27,7 +27,7 @@ from streamcoref import (
     synthesize_corpus,
 )
 from streamcoref.ingest import ParseError, order_mentions
-from streamcoref.scoring import dump_score_rows, load_score_rows
+from streamcoref.scoring import dump_score_rows, iter_score_rows, load_score_rows
 
 
 def cell(slot=0, entity=None, cell_id=None) -> EntityCell:
@@ -238,6 +238,39 @@ def test_load_score_rows_names_the_bad_line(tmp_path, line, reason):
     assert reason in str(err.value)
 
 
+def test_replay_from_file_reads_rows_as_mentions_begin(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    good = json.dumps(ScoreRow(1.0, (), (), 1.0).to_obj())
+    path.write_text(f"{good}\n\n{good}\nnot json\n", encoding="utf-8")
+    provider = ReplayScoreProvider.from_file(path)
+    provider.mention_begin(0, MentionSpan(0, 0))
+    row = provider.step_scores(SM_DOC, MentionSpan(0, 0), [])
+    assert row == ScoreRow(1.0, (), (), 1.0)
+    provider.mention_begin(1, MentionSpan(1, 1))
+    with pytest.raises(ParseError) as err:  # the bad line is only met here
+        provider.check_exhausted()
+    assert err.value.line == 4
+    rows = iter_score_rows(path)
+    assert next(rows) == next(rows) == ScoreRow(1.0, (), (), 1.0)
+    with pytest.raises(ParseError):
+        next(rows)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "[" * 5000,  # RecursionError inside json.loads
+        '{"s_m": 1' + "0" * 400 + ', "s_c": [], "f_r_cells": [], "f_r_mention": 0}',  # float overflow
+    ],
+)
+def test_load_score_rows_rejects_what_json_cannot_hold(tmp_path, line):
+    path = tmp_path / "rows.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_score_rows(path)
+    assert err.value.line == 1
+
+
 def test_load_score_rows_keeps_infinities(tmp_path):
     path = tmp_path / "rows.jsonl"
     path.write_text(
@@ -258,7 +291,7 @@ def test_replay_row_must_match_memory_exactly():
     provider.mention_begin(1, MentionSpan(1, 1))
     with pytest.raises(ScoreShapeMismatch):
         provider.step_scores(SM_DOC, MentionSpan(1, 1), [cell(slot=0)])
-    provider.rewind()
+    provider = ReplayScoreProvider(rows)
     provider.mention_begin(0, MentionSpan(0, 0))
     assert provider.step_scores(SM_DOC, MentionSpan(0, 0), [cell(slot=0)]) is rows[0]
 
@@ -270,18 +303,11 @@ def test_replay_rows_left_over_fail():
         provider.check_exhausted()
     assert err.value.mention_index == 1
     assert "3 rows" in str(err.value)
-    provider.mention_begin(1, MentionSpan(1, 1))
-    provider.mention_begin(2, MentionSpan(2, 2))
+    # check_exhausted reads the rows left, so it ends a replay.
+    provider = ReplayScoreProvider([ScoreRow(1.0, (), (), 1.0)] * 3)
+    for i in range(3):
+        provider.mention_begin(i, MentionSpan(i, i))
     provider.check_exhausted()
-
-
-def test_replay_rewind():
-    provider = ReplayScoreProvider([ScoreRow(2.0, (), (), 1.0)])
-    provider.mention_begin(0, MentionSpan(0, 0))
-    assert provider.mention_score(SM_DOC, MentionSpan(0, 0)) == 2.0
-    provider.rewind()
-    provider.mention_begin(0, MentionSpan(0, 0))
-    assert provider.mention_score(SM_DOC, MentionSpan(0, 0)) == 2.0
 
 
 def test_recording_rows_have_per_step_shapes(tmp_path):
