@@ -414,21 +414,19 @@ def _cluster_record(line: SourceLine) -> tuple[str, Clusters]:
     if key not in obj:
         raise ParseError("expected clusters or gold_clusters", **where)
     clusters: Clusters = []
-    seen: set[tuple[int, int]] = set()
     try:
         for raw in obj[key]:
             cluster = []
             for start, end in raw:
                 if type(start) is not int or type(end) is not int:  # bool is not a token index
                     raise TypeError
-                seen.add((start, end))
                 cluster.append(MentionSpan(start, end))
             clusters.append(cluster)
     except (TypeError, ValueError):
         raise ParseError(f"ill-typed {key}", **where) from None
     if not all(clusters):
         raise ParseError(f"empty cluster in {key}", **where)
-    if len(seen) < sum(map(len, clusters)):
+    if len(set(chain.from_iterable(clusters))) < sum(map(len, clusters)):
         repeat = _first_repeat(chain.from_iterable(clusters))
         raise ParseError(
             f"mention {repeat.as_pair()} appears twice in {key}; a mention belongs to one cluster",

@@ -257,9 +257,8 @@ def run_document(
         scores.observe_action(i, mention, action, touched)
     scores.end_document()
 
-    clusters = tuple(
-        tuple(lineage) for lineage in clusters_from_actions(mentions, actions)
-    )
+    # Tuples built from lists, not generators: see scoring._scores.
+    clusters = tuple([tuple(lineage) for lineage in clusters_from_actions(mentions, actions)])
     stats = RunStats(
         avg_entities_in_memory=sum(samples) / len(samples) if samples else 0.0,
         max_entities_in_memory=max(samples, default=0),

@@ -140,10 +140,11 @@ class _DocAccumulator:
                     f"open for id {cid} never closed", path=path, line=line_no
                 )
         doc_id = self.name if self.part is None else f"{self.name}; part {self.part}"
-        gold = tuple(
+        # Tuples built from lists, not generators: see scoring._scores.
+        gold = tuple([
             GoldCluster(cid, tuple(sorted(spans)))
             for cid, spans in sorted(self.clusters.items())
-        )
+        ])
         seen: set[MentionSpan] = set()
         candidates = []
         for cluster in gold:
@@ -155,7 +156,7 @@ class _DocAccumulator:
             doc_id=doc_id,
             tokens=tuple(self.tokens),
             sentence_boundaries=tuple(self.boundaries),
-            candidate_mentions=tuple((s, 0.0) for s in sorted(candidates)),
+            candidate_mentions=tuple([(s, 0.0) for s in sorted(candidates)]),
             gold_clusters=gold,
         )
         return _validated(doc, path, self.begin_line)
@@ -220,6 +221,12 @@ def json_line(text: str, *, path: str, line_no: int | None):
         raise ParseError("invalid JSON: nested too deeply", path=path, line=line_no) from None
 
 
+# The one element type of a token list and of an index list, compared with
+# type() so that a bool (an int subclass) is not taken for an index.
+_STR = frozenset({str})
+_INT = frozenset({int})
+
+
 def _require(obj: dict, key: str, path: str, line_no: int | None):
     if key not in obj:
         raise SchemaError(key, path=path, line=line_no, detail="missing")
@@ -227,13 +234,13 @@ def _require(obj: dict, key: str, path: str, line_no: int | None):
 
 
 def _span_from_pair(pair, key: str, path: str, line_no: int | None) -> MentionSpan:
-    if (
-        not isinstance(pair, (list, tuple))
-        or len(pair) != 2
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in pair)
-    ):
+    # type() rather than isinstance: a JSON bool is not a token index.
+    if type(pair) is not list or len(pair) != 2:
         raise SchemaError(key, path=path, line=line_no, detail="ill-typed")
-    return MentionSpan(pair[0], pair[1])
+    start, end = pair
+    if type(start) is not int or type(end) is not int:
+        raise SchemaError(key, path=path, line=line_no, detail="ill-typed")
+    return MentionSpan(start, end)
 
 
 def parse_jsonl(line: str, *, path: str = "<string>", line_no: int | None = None) -> Document:
@@ -254,7 +261,7 @@ def parse_jsonl(line: str, *, path: str = "<string>", line_no: int | None = None
         raise SchemaError("doc_id", path=path, line=line_no, detail="ill-typed")
 
     tokens = _require(obj, "tokens", path, line_no)
-    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+    if type(tokens) is not list or not _STR.issuperset(map(type, tokens)):
         raise SchemaError("tokens", path=path, line=line_no, detail="ill-typed")
 
     raw_clusters = _require(obj, "gold_clusters", path, line_no)
@@ -264,10 +271,8 @@ def parse_jsonl(line: str, *, path: str = "<string>", line_no: int | None = None
     for idx, raw in enumerate(raw_clusters):
         if not isinstance(raw, list):
             raise SchemaError("gold_clusters", path=path, line=line_no, detail="ill-typed")
-        mentions = tuple(
-            sorted(_span_from_pair(p, "gold_clusters", path, line_no) for p in raw)
-        )
-        gold.append(GoldCluster(idx, mentions))
+        mentions = sorted([_span_from_pair(p, "gold_clusters", path, line_no) for p in raw])
+        gold.append(GoldCluster(idx, tuple(mentions)))
 
     candidates = []
     if "candidate_mentions" in obj:
@@ -275,22 +280,27 @@ def parse_jsonl(line: str, *, path: str = "<string>", line_no: int | None = None
         if not isinstance(raw_cands, list):
             raise SchemaError("candidate_mentions", path=path, line=line_no, detail="ill-typed")
         for triple in raw_cands:
+            if type(triple) is not list or len(triple) != 3:
+                raise SchemaError("candidate_mentions", path=path, line=line_no, detail="ill-typed")
+            start, end, score = triple
             if (
-                not isinstance(triple, (list, tuple))
-                or len(triple) != 3
-                or not all(isinstance(v, int) and not isinstance(v, bool) for v in triple[:2])
-                or not isinstance(triple[2], (int, float))
-                or isinstance(triple[2], bool)
+                type(start) is not int
+                or type(end) is not int
+                or (type(score) is not float and type(score) is not int)
             ):
                 raise SchemaError("candidate_mentions", path=path, line=line_no, detail="ill-typed")
-            candidates.append((MentionSpan(triple[0], triple[1]), float(triple[2])))
+            try:
+                score = float(score)
+            except OverflowError:  # an integer beyond the float range is no score
+                raise SchemaError(
+                    "candidate_mentions", path=path, line=line_no, detail="ill-typed"
+                ) from None
+            candidates.append((MentionSpan(start, end), score))
 
     boundaries: tuple[int, ...] = ()
     if "sentence_boundaries" in obj:
         raw_b = obj["sentence_boundaries"]
-        if not isinstance(raw_b, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in raw_b
-        ):
+        if type(raw_b) is not list or not _INT.issuperset(map(type, raw_b)):
             raise SchemaError("sentence_boundaries", path=path, line=line_no, detail="ill-typed")
         boundaries = tuple(raw_b)
 
@@ -474,7 +484,7 @@ def order_mentions(spans: Iterable[MentionSpan]) -> tuple[list[MentionSpan], int
     Processing order is by start, ties broken by end. Returns the ordered
     spans plus the number of duplicates removed so callers can warn.
     """
-    ordered = sorted(spans, key=lambda s: (s.start, s.end))
+    ordered = sorted(spans)
     out: list[MentionSpan] = []
     dupes = 0
     for s in ordered:

@@ -6,7 +6,9 @@ averaging per-document F1 values is a different (wrong) statistic. The
 0/0 case is 0 by convention throughout.
 
 Clusters are collections of hashable mention keys; the engine hands over
-MentionSpan values, which qualify.
+MentionSpan values, which qualify. A MentionSpan is a (start, end) named
+tuple, so it is the same key as its plain pair: clusters of spans and
+clusters of pairs score alike.
 """
 
 from __future__ import annotations

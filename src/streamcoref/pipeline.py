@@ -18,9 +18,9 @@ import json
 import os
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .engine import run_document, trace_objs
+from .engine import run_document
 from . import ingest
 from .ingest import ParseError, SourceLine, chunk_documents, order_mentions
 from .scoring import (
@@ -31,7 +31,7 @@ from .scoring import (
     propose_top_spans,
     string_match_scorer,
 )
-from .types import Document, MentionSpan, PolicyConfig
+from .types import Action, Document, MentionSpan, PolicyConfig
 
 # Chunks in flight per worker: one being computed, one queued behind it.
 WINDOW_PER_WORKER = 2
@@ -82,6 +82,23 @@ def document_mentions(doc: Document, ratio: float | None) -> list[MentionSpan]:
     return spans
 
 
+def trace_lines(mentions: Sequence[MentionSpan], actions: Sequence[Action]) -> str:
+    """The trace lines of a run, each json.dumps of its engine.trace_objs entry.
+
+    A run hands out a few shared Action instances, so each one's part of
+    the line is serialized once, keyed by identity for the length of the call.
+    """
+    suffixes: dict[int, str] = {}
+    lines = []
+    for (start, end), action in zip(mentions, actions):
+        suffix = suffixes.get(id(action))
+        if suffix is None:
+            # '"action": "coref", "cell": 3}': the object's text after its "{".
+            suffix = suffixes[id(action)] = json.dumps(action.to_obj())[1:]
+        lines.append(f'{{"mention": [{start}, {end}], {suffix}\n')
+    return "".join(lines)
+
+
 def run_one(spec: RunSpec, doc: Document, provider: ScoreProvider | None = None) -> DocOutput:
     """Run one document and serialize its outputs.
 
@@ -98,13 +115,12 @@ def run_one(spec: RunSpec, doc: Document, provider: ScoreProvider | None = None)
     result = run_document(doc, mentions, recorder or provider, spec.policy)
     stats = result.stats
 
-    clusters = [[m.as_pair() for m in cluster] for cluster in result.predicted_clusters]
+    # Spans and tuples of them serialize as JSON arrays: [[s, e], ...].
+    clusters = result.predicted_clusters
     prediction = json.dumps({"doc_id": doc.doc_id, "clusters": clusters}) + "\n"
     trace = ""
     if spec.trace:
-        lines = [json.dumps({"doc_id": doc.doc_id})]
-        lines.extend(json.dumps(obj) for obj in trace_objs(mentions, stats.actions))
-        trace = "\n".join(lines) + "\n"
+        trace = json.dumps({"doc_id": doc.doc_id}) + "\n" + trace_lines(mentions, stats.actions)
     rows = ""
     if recorder is not None:
         rows = "".join(json.dumps(row.to_obj()) + "\n" for row in recorder.rows)

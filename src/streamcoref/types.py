@@ -1,10 +1,11 @@
 """Shared domain types: spans, documents, gold clusters, actions, policies.
 
 Token indices are document-global and 0-based. Spans are closed intervals:
-a span covers tokens start..end inclusive. All values here are immutable
-after construction; invariant checking lives in validate_document, which
-reports violations instead of raising so that callers can decide what is
-fatal.
+a span covers tokens start..end inclusive. A MentionSpan is a (start, end)
+named tuple, so it equals, hashes and sorts like the plain pair. All values
+here are immutable after construction; invariant checking lives in
+validate_document, which reports violations instead of raising so that
+callers can decide what is fatal.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import NamedTuple
 
 
 def _restore_error(cls, args):
@@ -51,9 +53,11 @@ class SingletonMode(enum.Enum):
     DROP = "drop"
 
 
-@dataclass(frozen=True, order=True)
-class MentionSpan:
-    """Closed token interval [start, end]."""
+class MentionSpan(NamedTuple):
+    """Closed token interval [start, end].
+
+    A tuple: it equals, hashes, sorts and unpacks like (start, end).
+    """
 
     start: int
     end: int
@@ -237,11 +241,15 @@ def validate_document(doc: Document) -> list[str]:
             issues.append(f"sentence_boundaries[{i}]: out of range")
         prev = b
 
+    # A span in range has no issue of its own, so _span_issues runs only
+    # for the spans that fail the one comparison chain.
     seen_candidates: set[MentionSpan] = set()
     for i, (span, _score) in enumerate(doc.candidate_mentions):
-        issues.extend(_span_issues(f"mention {i}", span, n))
+        start, end = span
+        if not 0 <= start <= end < n:
+            issues.extend(_span_issues(f"mention {i}", span, n))
         if span in seen_candidates:
-            issues.append(f"duplicate candidate mention ({span.start},{span.end})")
+            issues.append(f"duplicate candidate mention ({start},{end})")
         seen_candidates.add(span)
 
     seen_gold: set[MentionSpan] = set()
@@ -249,9 +257,11 @@ def validate_document(doc: Document) -> list[str]:
         if not cluster.mentions:
             issues.append(f"cluster {k}: empty")
         for j, span in enumerate(cluster.mentions):
-            issues.extend(_span_issues(f"cluster {k} mention {j}", span, n))
+            start, end = span
+            if not 0 <= start <= end < n:
+                issues.extend(_span_issues(f"cluster {k} mention {j}", span, n))
             if span in seen_gold:
-                issues.append(f"duplicate gold mention ({span.start},{span.end})")
+                issues.append(f"duplicate gold mention ({start},{end})")
             seen_gold.add(span)
 
     return issues

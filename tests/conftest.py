@@ -305,6 +305,109 @@ def rank_then_pearson(xs: list[float], ys: list[float]) -> float | None:
 
 
 # ---------------------------------------------------------------------------
+# reference document validator: one message per violation, span by span
+
+
+def reference_validate_document(doc: Document) -> list[str]:
+    """Every span checked through the same three tests, in document order.
+
+    The package skips the per-span tests for a span that passes one
+    range comparison; its messages and their order must match these.
+    """
+
+    def span_issues(label, span, n):
+        out = []
+        if span.start > span.end:
+            out.append(f"{label}: start > end")
+        if span.start < 0:
+            out.append(f"{label}: start < 0")
+        elif span.start <= span.end and span.end >= n:
+            out.append(f"{label}: end beyond document")
+        return out
+
+    issues = []
+    n = len(doc.tokens)
+    prev = 0
+    for i, b in enumerate(doc.sentence_boundaries):
+        if b <= prev:
+            issues.append(f"sentence_boundaries[{i}]: not strictly increasing")
+        if b < 1 or b > n:
+            issues.append(f"sentence_boundaries[{i}]: out of range")
+        prev = b
+    seen = set()
+    for i, (span, _score) in enumerate(doc.candidate_mentions):
+        issues.extend(span_issues(f"mention {i}", span, n))
+        if span in seen:
+            issues.append(f"duplicate candidate mention ({span.start},{span.end})")
+        seen.add(span)
+    seen = set()
+    for k, cluster in enumerate(doc.gold_clusters):
+        if not cluster.mentions:
+            issues.append(f"cluster {k}: empty")
+        for j, span in enumerate(cluster.mentions):
+            issues.extend(span_issues(f"cluster {k} mention {j}", span, n))
+            if span in seen:
+                issues.append(f"duplicate gold mention ({span.start},{span.end})")
+            seen.add(span)
+    return issues
+
+
+# ---------------------------------------------------------------------------
+# definition-level link and mention metrics (exact rational counts)
+
+
+def definition_muc_counts(gold, pred) -> tuple[Fraction, int, Fraction, int]:
+    """MUC from partitions (Vilain et al. 1995).
+
+    Recall: each key cluster K is cut into p(K), the non-empty
+    intersections with response clusters plus one singleton per mention
+    of K that no response cluster holds; it scores |K| - |p(K)| links out
+    of |K| - 1. Precision swaps the roles.
+    """
+
+    def side(key, response):
+        num = den = 0
+        covered = set().union(*response)
+        for k in key:
+            parts = {frozenset(k & r) for r in response if k & r}
+            parts |= {frozenset([m]) for m in k - covered}
+            num += len(k) - len(parts)
+            den += len(k) - 1
+        return num, den
+
+    g = [frozenset(c) for c in gold]
+    p = [frozenset(c) for c in pred]
+    r_num, r_den = side(g, p)
+    p_num, p_den = side(p, g)
+    return (Fraction(p_num), p_den, Fraction(r_num), r_den)
+
+
+def definition_b3_counts(gold, pred) -> tuple[Fraction, int, Fraction, int]:
+    """B-cubed summed per mention (Bagga and Baldwin 1998).
+
+    A key mention scores |K(m) & R(m)| / |K(m)| for recall, where R(m) is
+    the response cluster holding it (empty when none does); precision
+    scores each response mention the same way with the sides swapped.
+    """
+
+    def side(key, response):
+        num = Fraction(0)
+        den = 0
+        for k in key:
+            for m in k:
+                r = next((r for r in response if m in r), frozenset())
+                num += Fraction(len(k & r), len(k))
+                den += 1
+        return num, den
+
+    g = [frozenset(c) for c in gold]
+    p = [frozenset(c) for c in pred]
+    r_num, r_den = side(g, p)
+    p_num, p_den = side(p, g)
+    return (p_num, p_den, r_num, r_den)
+
+
+# ---------------------------------------------------------------------------
 # brute-force alignment oracle for the entity-matching metric
 
 

@@ -1,5 +1,7 @@
 """The clustering state machine: updates, decisions, full-document runs."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +30,8 @@ from streamcoref import (
     string_match_scorer,
     synthesize_corpus,
 )
-from streamcoref.engine import lru_slot
+from streamcoref.engine import lru_slot, trace_objs
+from streamcoref.pipeline import trace_lines
 from streamcoref.ingest import order_mentions
 
 UNBOUNDED = PolicyConfig(MemoryPolicy.UNBOUNDED)
@@ -317,3 +320,33 @@ def test_forced_replay_reproduces_any_legal_action_sequence(seed):
     policy = lb(capacity)
     result = run_document(doc, mentions, ReplayScoreProvider(rows), policy)
     assert list(result.stats.actions) == actions
+
+
+def test_trace_lines_are_the_dumped_trace_objects():
+    actions = [
+        Action.new_entity(),
+        Action.coref(0),
+        Action.coref(12),
+        Action.evict(10),
+        Action.evict(3),
+        Action.ignore_capacity(),
+        Action.ignore_invalid(),
+        # equal to a shared instance but a different object
+        Action(ActionKind.COREF, 12),
+        Action.coref(12),
+    ]
+    assert {a.kind for a in actions} == set(ActionKind)
+    mentions = [MentionSpan(i, i + 3) for i in range(len(actions) - 2)]
+    mentions += [MentionSpan(10**9, 10**9), MentionSpan(2**62, 2**63)]
+    want = "".join(json.dumps(obj) + "\n" for obj in trace_objs(mentions, actions))
+    assert trace_lines(mentions, actions) == want
+    assert trace_lines([], []) == ""
+
+
+def test_trace_lines_match_a_run():
+    doc = synthesize_corpus(3, 1, max_entities=6, max_mentions=40, extra_candidates=4)[0]
+    mentions, _ = order_mentions(s for s, _ in doc.candidate_mentions)
+    result = run_document(doc, mentions, string_match_scorer(), lb(2))
+    actions = result.stats.actions
+    want = "".join(json.dumps(obj) + "\n" for obj in trace_objs(mentions, actions))
+    assert trace_lines(mentions, actions) == want

@@ -3,8 +3,10 @@
 import json
 import pickle
 import random
+import re
 import textwrap
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -19,6 +21,7 @@ from streamcoref import (
     MentionSpan,
     ParseError,
     SchemaError,
+    ScoreRow,
     ScoreShapeMismatch,
     UnbalancedBracketError,
     order_mentions,
@@ -284,6 +287,19 @@ def test_parse_jsonl_minimal():
     assert doc.genre is None
 
 
+def test_readme_json_examples_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    documents = [b for b in blocks if '"doc_id"' in b]
+    assert documents
+    for block in blocks:
+        if block in documents:
+            doc = parse_jsonl(block, path="README.md")
+            assert doc.candidate_mentions and doc.gold_clusters
+        else:
+            ScoreRow.from_obj(json.loads(block))
+
+
 def test_parse_jsonl_optional_fields_default():
     doc = parse_jsonl(
         json.dumps({"doc_id": "d", "tokens": ["x"], "gold_clusters": []})
@@ -309,6 +325,13 @@ def test_parse_jsonl_ill_typed_span():
     with pytest.raises(SchemaError) as err:
         parse_jsonl(json.dumps(obj))
     assert err.value.key == "gold_clusters"
+
+
+def test_parse_jsonl_rejects_a_score_beyond_float():
+    line = json.dumps(dict(JSON_DOC, candidate_mentions=[[0, 0, 10**400]]))
+    with pytest.raises(SchemaError) as err:
+        parse_jsonl(line, line_no=3)
+    assert err.value.key == "candidate_mentions" and err.value.line == 3
 
 
 def test_parse_jsonl_rejects_invalid_document():

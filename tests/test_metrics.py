@@ -6,10 +6,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import METRIC_CASES, dense_ceaf_counts, factorial_ceaf_counts
+from conftest import (
+    METRIC_CASES,
+    definition_b3_counts,
+    definition_muc_counts,
+    dense_ceaf_counts,
+    factorial_ceaf_counts,
+)
 from streamcoref import (
     PRF,
     CountAccumulator,
+    MentionSpan,
     b_cubed,
     ceaf_phi4,
     conll_f1,
@@ -231,3 +238,65 @@ def test_f1_bounds_and_self_score(clusters):
         assert 0.0 <= prf.f1 <= 1.0
         if disjoint and metric is not muc:
             assert prf.f1 == 1.0
+
+
+pairs = st.tuples(st.integers(0, 9), st.integers(0, 3)).map(lambda t: (t[0], t[0] + t[1]))
+
+
+@st.composite
+def document_partitions(draw):
+    """Gold and predicted partitions of two overlapping sets of (s, e) pairs."""
+    pool = draw(st.lists(pairs, unique=True, max_size=14))
+
+    def partition():
+        mentions = [m for m in pool if draw(st.booleans())]
+        labels = draw(st.lists(st.integers(0, 4), min_size=len(mentions), max_size=len(mentions)))
+        groups: dict[int, list] = {}
+        for m, label in zip(mentions, labels):
+            groups.setdefault(label, []).append(m)
+        return list(groups.values())
+
+    return partition(), partition()
+
+
+def _exact_prf(counts) -> tuple[float, float, float]:
+    p_num, p_den, r_num, r_den = counts
+    p = p_num / p_den if p_den else 0
+    r = r_num / r_den if r_den else 0
+    return float(p), float(r), float(2 * p * r / (p + r) if p + r else 0)
+
+
+@pytest.mark.parametrize("case", METRIC_CASES, ids=CASE_IDS)
+def test_definition_references_reproduce_fixtures(case):
+    label, gold, pred, want_muc, want_b3, _ = case
+    for got, want in (
+        (_exact_prf(definition_muc_counts(gold, pred)), want_muc),
+        (_exact_prf(definition_b3_counts(gold, pred)), want_b3),
+    ):
+        assert got == pytest.approx(want, abs=1e-9), label
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(document_partitions(), min_size=1, max_size=4), st.booleans(), st.booleans())
+def test_pooled_muc_and_b3_match_definitions(docs, drop, spans_on_gold):
+    # One side reaches the accumulator as MentionSpans and the other as
+    # plain pairs: a span and its pair must be the same mention.
+    acc = CountAccumulator()
+    want_muc = [0] * 4
+    want_b3 = [0] * 4
+    for gold, pred in docs:
+        as_spans = [[MentionSpan(*m) for m in c] for c in (gold if spans_on_gold else pred)]
+        if spans_on_gold:
+            acc.add(as_spans, pred, drop_singletons=drop)
+        else:
+            acc.add(gold, as_spans, drop_singletons=drop)
+        if drop:
+            gold = [c for c in gold if len(c) > 1]
+            pred = [c for c in pred if len(c) > 1]
+        for k, v in enumerate(definition_muc_counts(gold, pred)):
+            want_muc[k] += v
+        for k, v in enumerate(definition_b3_counts(gold, pred)):
+            want_b3[k] += v
+    report = acc.report()
+    assert_prf(report.muc, _exact_prf(want_muc), "muc")
+    assert_prf(report.b_cubed, _exact_prf(want_b3), "b3")

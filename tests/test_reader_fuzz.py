@@ -1,4 +1,4 @@
-"""Fuzzing the replay-row reader and the `score` line reader through the CLI.
+"""Fuzzing the document, replay-row and `score` line readers through the CLI.
 
 The property is the CLI's input contract: a malformed file ends in a named
 error with its documented exit code (2 parse, 4 replay shape, 5 document
@@ -7,6 +7,7 @@ Any other exception escapes main() and fails the test.
 """
 
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from streamcoref import synthesize_corpus, write_jsonl
 from streamcoref.cli import main
+from streamcoref.ingest import document_to_jsonl
 
 SETTINGS = settings(
     max_examples=150,
@@ -174,3 +176,97 @@ def test_score_reader_fuzz(score_case, capsys, data, pred_first):
     else:
         assert err.startswith("error: ")
         assert not report.exists()
+
+
+@pytest.fixture(scope="module")
+def analyze_case(tmp_path_factory):
+    root = tmp_path_factory.mktemp("analyze")
+    docs = synthesize_corpus(8, 4, max_entities=3, max_mentions=6, extra_candidates=2)
+    return root, [document_to_jsonl(d) for d in docs]
+
+
+# What may land where a token, an index, a span or a score belongs.
+misplaced = st.sampled_from(
+    [True, False, None, 1.5, -0.0, 2.0, "3", "", [0, 1, 2], [0], [], [True, 1],
+     [1.0, 2.0], ["0", "1"], [[0, 1]], {"start": 0}, 10**30, -1]
+) | json_values
+
+
+def _list_slots(value, out):
+    """Every (list, index) pair inside value, outermost first."""
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            out.append((value, i))
+            _list_slots(item, out)
+    return out
+
+
+def _ints(value, n: int) -> bool:
+    return type(value) is list and len(value) == n and all(type(v) is int for v in value)
+
+
+def _score(value) -> bool:
+    if type(value) is not int:
+        return type(value) is float
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
+def _well_typed(obj: dict) -> bool:
+    """The schema of the four edited keys; bool is not an int here, and a
+    score is a number a float can hold."""
+    cands = obj["candidate_mentions"]
+    return (
+        type(obj["tokens"]) is list and all(type(t) is str for t in obj["tokens"])
+        and type(obj["sentence_boundaries"]) is list
+        and all(type(b) is int for b in obj["sentence_boundaries"])
+        and type(obj["gold_clusters"]) is list
+        and all(type(c) is list and all(_ints(p, 2) for p in c) for c in obj["gold_clusters"])
+        and type(cands) is list
+        and all(
+            type(c) is list and len(c) == 3 and _ints(c[:2], 2) and _score(c[2])
+            for c in cands
+        )
+    )
+
+
+@st.composite
+def document_files(draw, lines):
+    """Corpus lines with elements of their lists replaced by other values."""
+    out = list(lines)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(out) - 1))
+        obj = json.loads(out[at])
+        key = draw(st.sampled_from(
+            ["tokens", "sentence_boundaries", "gold_clusters", "candidate_mentions"]
+        ))
+        slots = _list_slots(obj[key], [(obj, key)])
+        container, index = draw(st.sampled_from(slots))
+        container[index] = draw(misplaced)
+        out[at] = _json_line(obj)
+    return out, [_well_typed(json.loads(line)) for line in out]
+
+
+@SETTINGS
+@given(data=st.data())
+def test_document_reader_fuzz(analyze_case, capsys, data):
+    root, lines = analyze_case
+    corpus = root / "corpus.jsonl"
+    edited, well_typed = data.draw(document_files(lines))
+    corpus.write_text("".join(line + "\n" for line in edited))
+    code = main(["analyze", str(corpus)])
+    err = capsys.readouterr().err
+    assert code in (0, 2)
+    if code == 0:
+        assert all(well_typed)
+        return
+    # The first faulty line names itself, and an ill-typed line is faulty.
+    m = re.match(rf"error: {re.escape(str(corpus))}:(\d+): ", err)
+    assert m is not None, err
+    line = int(m.group(1))
+    assert all(well_typed[: line - 1])
+    if not well_typed[line - 1]:
+        assert "ill-typed key" in err

@@ -1,9 +1,12 @@
 """Spans, documents, actions, and policy configuration."""
 
+import pickle
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_validate_document
 from streamcoref import (
     Action,
     ActionKind,
@@ -44,6 +47,31 @@ def test_span_length_and_covers():
 def test_span_ordering_is_positional():
     spans = [MentionSpan(2, 3), MentionSpan(0, 9), MentionSpan(2, 2)]
     assert sorted(spans) == [MentionSpan(0, 9), MentionSpan(2, 2), MentionSpan(2, 3)]
+
+
+def test_span_is_its_pair():
+    span = MentionSpan(2, 5)
+    assert span == (2, 5) and (2, 5) == span
+    assert hash(span) == hash((2, 5))
+    assert {(2, 5): "x"}[span] == "x" and {span: "x"}[(2, 5)] == "x"
+    assert (2, 5) in {span} and span in {(2, 5)}
+    start, end = span
+    assert (start, end) == (span.start, span.end) == (2, 5)
+    assert repr(span) == "MentionSpan(start=2, end=5)"
+    assert span.as_pair() == [2, 5] and type(span.as_pair()) is list
+
+
+def test_spans_sort_with_pairs():
+    mixed = [MentionSpan(2, 3), (0, 9), MentionSpan(2, 2), (1, 1)]
+    assert sorted(mixed) == [(0, 9), (1, 1), (2, 2), (2, 3)]
+    assert MentionSpan(1, 9) < (2, 0) and MentionSpan(2, 0) > (1, 9)
+
+
+def test_span_pickles():
+    spans = [MentionSpan(0, 0), MentionSpan(7, 10**12)]
+    back = pickle.loads(pickle.dumps(spans))
+    assert back == spans
+    assert all(type(s) is MentionSpan for s in back)
 
 
 def test_document_helpers():
@@ -104,6 +132,53 @@ def test_validate_never_raises_and_is_stable():
     first = validate_document(doc)
     assert first == validate_document(doc)
     assert len(first) >= 3
+
+
+@st.composite
+def faulty_documents(draw):
+    """Documents with inverted, negative, out-of-range and repeated spans,
+    empty clusters and bad sentence boundaries mixed among valid ones."""
+    n = draw(st.integers(0, 8))
+    index = st.integers(-3, n + 3)
+    spans = st.builds(MentionSpan, index, index)
+    if n:
+        valid = st.integers(0, n - 1).flatmap(
+            lambda s: st.builds(MentionSpan, st.just(s), st.integers(s, n - 1))
+        )
+        spans = valid | spans
+    # Drawing from a small pool makes repeats common.
+    pick = st.sampled_from(draw(st.lists(spans, min_size=1, max_size=6)))
+    clusters = draw(st.lists(st.lists(pick, max_size=4), max_size=4))
+    return Document(
+        doc_id="d",
+        tokens=("t",) * n,
+        sentence_boundaries=tuple(draw(st.lists(st.integers(-1, n + 2), max_size=4))),
+        candidate_mentions=tuple((s, 0.0) for s in draw(st.lists(pick, max_size=6))),
+        gold_clusters=tuple(GoldCluster(k, tuple(ms)) for k, ms in enumerate(clusters)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(faulty_documents())
+@example(
+    make_doc(
+        sentence_boundaries=(0, 4, 4, 12),
+        candidate_mentions=(
+            (MentionSpan(3, 1), 0.0),
+            (MentionSpan(-2, -4), 0.0),
+            (MentionSpan(-1, 2), 0.0),
+            (MentionSpan(8, 10), 0.0),
+            (MentionSpan(3, 1), 0.0),
+        ),
+        gold_clusters=(
+            GoldCluster(0, ()),
+            GoldCluster(1, (MentionSpan(2, 4), MentionSpan(11, 10))),
+            GoldCluster(2, (MentionSpan(2, 4),)),
+        ),
+    )
+)
+def test_validate_matches_per_span_reference(doc):
+    assert validate_document(doc) == reference_validate_document(doc)
 
 
 def test_action_factories_and_round_trip():
