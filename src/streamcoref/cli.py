@@ -4,12 +4,14 @@ Subcommands: analyze (corpus statistics), run (clustering), oracle
 (teacher-forcing diagnostics), score (evaluation), synth (synthetic
 fixtures). Exit codes: 0 success, 2 parse failure, 3 configuration
 conflict, 4 replay shape mismatch, 5 document alignment failure.
+
+Each subcommand imports the modules it runs when it runs, so a call pays
+for its own imports only.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -17,10 +19,9 @@ import sys
 from contextlib import closing, contextmanager
 from itertools import chain
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import TYPE_CHECKING, Iterator, TextIO
 
 from . import __version__
-from .analytics import CorpusStats, histogram_rows
 from .ingest import (
     MentionSpan,
     ParseError,
@@ -31,12 +32,17 @@ from .ingest import (
     read_chunks,
     write_jsonl,
 )
-from .metrics import CountAccumulator, ScoreReport
-from .oracle import capacity_ignores, oracle_trace, trackable_fraction
-from .pipeline import RunSpec, ordered_outputs, worker_count
-from .scoring import ReplayScoreProvider, ScoreShapeMismatch, StringMatchConfig
-from .synth import synthesize_corpus
-from .types import ConfigError, Document, MemoryPolicy, PolicyConfig, SingletonMode
+from .types import (
+    ConfigError,
+    Document,
+    MemoryPolicy,
+    PolicyConfig,
+    ScoreShapeMismatch,
+    SingletonMode,
+)
+
+if TYPE_CHECKING:
+    from .metrics import ScoreReport
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -160,6 +166,9 @@ class _ManifestWriter:
 
 
 def cmd_run(args) -> int:
+    from .pipeline import RunSpec, ordered_outputs, worker_count
+    from .scoring import ReplayScoreProvider, StringMatchConfig
+
     policy = _policy_from_args(args)
     scorer_kind, scorer_arg = _parse_scorer(args.scorer)
     ratio = args.proposal_ratio
@@ -252,6 +261,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    import csv
+
+    from .analytics import CorpusStats, histogram_rows
+
     if args.buckets < 1:
         raise ConfigError(f"--buckets must be at least 1, got {args.buckets}")
     targets = {}
@@ -293,6 +306,8 @@ def _oracle_document(
 ) -> tuple[int, int]:
     """Trace one document, write its trace to out if given, and return its
     (capacity ignores, gold mentions)."""
+    from .oracle import capacity_ignores, oracle_trace
+
     mentions, _ = order_mentions(doc.gold_mentions())
     steps = oracle_trace(mentions, doc.gold_clusters, policy)
     if out:
@@ -306,6 +321,8 @@ def _oracle_document(
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import trackable_fraction
+
     policy = _policy_from_args(args)
     docs = ignored = total = 0
     with _staged({"out": args.out}) as files:
@@ -339,14 +356,17 @@ def _aligned_clusters(
 
     While both files list the same doc_ids in the same order (as run
     writes them) they are read in lockstep, holding one document of each
-    and one set of the doc_ids read. From the first doc_id that differs,
-    the rest of the predictions is indexed by doc_id. Raises DocIdMismatch
-    for a doc_id repeated in one file, and, once both files are read, for
+    and the doc_ids read. From the first doc_id that differs, the rest of
+    the predictions is indexed by doc_id. Raises DocIdMismatch for a
+    doc_id repeated in one file, and, once both files are read, for
     doc_ids in only one of them.
     """
     golds = _cluster_records(gold_path, fmt)
     preds = _cluster_records(pred_path, fmt)
-    ids: set[str] = set()  # the doc_ids read in lockstep, from both files
+    # The doc_ids read in lockstep, from both files. A dict, not a set:
+    # CPython grows a set's table fourfold, so 600 doc_ids take 33 KB of
+    # table as a set and 13 KB as a dict.
+    ids: dict[str, None] = {}
     while True:
         gold_rec = next(golds, None)
         pred_rec = next(preds, None)
@@ -358,7 +378,7 @@ def _aligned_clusters(
     if gold_rec is None and pred_rec is None:
         return
 
-    gold_ids, pred_ids = ids, set(ids)
+    gold_ids, pred_ids = ids, dict(ids)
     rest: dict[str, Clusters] = {}
     for pred_id, pred in chain([pred_rec] if pred_rec else [], preds):
         _add_new(pred_ids, pred_id, pred_path)
@@ -368,8 +388,8 @@ def _aligned_clusters(
         if gold_id in rest:
             yield gold, rest.pop(gold_id)
 
-    missing_pred = gold_ids - pred_ids
-    missing_gold = pred_ids - gold_ids
+    missing_pred = gold_ids.keys() - pred_ids.keys()
+    missing_gold = pred_ids.keys() - gold_ids.keys()
     parts = []
     if missing_pred:
         parts.append(f"not in predictions: {', '.join(sorted(missing_pred)[:5])}")
@@ -379,7 +399,7 @@ def _aligned_clusters(
         raise DocIdMismatch("; ".join(parts))
 
 
-def _add_new(ids: set[str], doc_id: str, path: str) -> None:
+def _add_new(ids: dict[str, None], doc_id: str, path: str) -> None:
     """Add doc_id to ids; a repeat raises DocIdMismatch.
 
     A repeat would replace the earlier document and silently shrink the
@@ -387,7 +407,7 @@ def _add_new(ids: set[str], doc_id: str, path: str) -> None:
     """
     if doc_id in ids:
         raise DocIdMismatch(f"duplicate doc_id {doc_id!r} in {path}")
-    ids.add(doc_id)
+    ids[doc_id] = None
 
 
 def _cluster_records(path: str, fmt: str) -> Iterator[tuple[str, Clusters]]:
@@ -460,6 +480,8 @@ def _report_table(report: ScoreReport) -> str:
 
 
 def cmd_score(args) -> int:
+    from .metrics import CountAccumulator
+
     drop = args.singletons == "drop"
     acc = CountAccumulator()
     for gold, pred in _aligned_clusters(args.gold, args.pred, args.format):
@@ -481,6 +503,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from .synth import synthesize_corpus
+
     docs = synthesize_corpus(
         args.seed,
         args.docs,

@@ -22,7 +22,6 @@ iter_documents yields the parsed documents of those chunks one at a time.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from collections import defaultdict
@@ -66,8 +65,13 @@ def _validated(doc: Document, path: str, line_no: int | None) -> Document:
     return doc
 
 
-_BEGIN = re.compile(r"#begin document \((?P<name>[^)]*)\)(?:; part (?P<part>\d+))?\s*$")
-_COREF_PIECE = re.compile(r"\((\d+)\)|\((\d+)|(\d+)\)")
+# re.ASCII: \d would also match other scripts' digits, and int() reads
+# "(٣)" as entity 3.
+_BEGIN = re.compile(
+    r"#begin document \((?P<name>[^)]*)\)(?:; part (?P<part>\d+))?\s*$", re.ASCII
+)
+_COREF_PIECE = re.compile(r"\((\d+)\)|\((\d+)|(\d+)\)", re.ASCII)
+_COREF_KINDS = (None, "both", "open", "close")  # by _COREF_PIECE group
 
 
 def _coref_events(field: str, path: str, line_no: int) -> list[tuple[str, int]]:
@@ -85,12 +89,14 @@ def _coref_events(field: str, path: str, line_no: int) -> list[tuple[str, int]]:
             raise MalformedColumnError(
                 f"unrecognized coreference annotation {field!r}", path=path, line=line_no
             )
-        if m.group(1) is not None:
-            events.append(("both", int(m.group(1))))
-        elif m.group(2) is not None:
-            events.append(("open", int(m.group(2))))
-        else:
-            events.append(("close", int(m.group(3))))
+        # One group of the three matched: "(7)", "(7" or "7)".
+        digits = m.group(m.lastindex)
+        try:
+            events.append((_COREF_KINDS[m.lastindex], int(digits)))
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise MalformedColumnError(
+                f"coreference id of {len(digits)} digits", path=path, line=line_no
+            ) from None
         pos = m.end()
     return events
 
@@ -385,7 +391,11 @@ def _file_lines(path: str, digests: list | None) -> Iterator[tuple[int, int, str
     With digests given, appends (path, sha256 of the file's bytes) once
     the whole file has been read.
     """
-    hasher = hashlib.sha256() if digests is not None else None
+    hasher = None
+    if digests is not None:
+        import hashlib  # ~5 ms (OpenSSL): loaded only when a digest is asked for
+
+        hasher = hashlib.sha256()
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             if hasher is not None:

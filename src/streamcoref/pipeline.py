@@ -8,14 +8,15 @@ clusters' digest for the manifest, plus the counters the summary needs. ordered_
 yields those outputs in input order, computed in this process or in a
 pool of worker processes that holds a bounded window of chunks. The
 calling process therefore holds O(window) documents whatever the corpus
-size, and every worker count gives the same outputs.
+size, and every worker count gives the same outputs. Workers are forked
+where that is safe (see start_method) and spawned elsewhere.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
+import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -126,6 +127,8 @@ def run_one(spec: RunSpec, doc: Document, provider: ScoreProvider | None = None)
         rows = "".join(json.dumps(row.to_obj()) + "\n" for row in recorder.rows)
     digest = ""
     if spec.manifest:
+        import hashlib  # ~5 ms (OpenSSL): loaded only for a manifest
+
         digest = hashlib.sha256(json.dumps(clusters).encode()).hexdigest()
     return DocOutput(
         doc_id=doc.doc_id,
@@ -154,7 +157,9 @@ def worker_count(jobs: int, corpus_bytes: int, cpus: int | None = None) -> int:
 
     At least 1 and at most the CPUs this process may use (cpus, by
     default from the scheduler). A corpus that fits in one chunk gets 1:
-    starting a worker costs an interpreter start, ~0.2 s.
+    a pool cannot split it, and a worker costs a fork (a few ms) or,
+    where workers are spawned, an interpreter start plus the package's
+    import (~0.1-0.2 s).
     """
     if corpus_bytes <= ingest.CHUNK_BYTES:
         return 1
@@ -164,6 +169,30 @@ def worker_count(jobs: int, corpus_bytes: int, cpus: int | None = None) -> int:
         else:
             cpus = os.cpu_count() or 1
     return max(1, min(jobs, cpus))
+
+
+def start_method() -> str:
+    """How pool workers start: "fork" where it is safe, else "spawn".
+
+    A forked worker inherits the modules this process has loaded, so it
+    starts in milliseconds; a spawned one starts an interpreter and imports
+    the package again. fork needs Linux (Windows has none, and macOS system
+    libraries are not fork-safe), Python 3.11+, whose ProcessPoolExecutor
+    forks every worker before it starts its manager thread (CPython
+    gh-90622), and a caller running no other thread, since a fork copies
+    the locks other threads hold.
+    """
+    import multiprocessing
+    import threading
+
+    if (
+        sys.platform.startswith("linux")
+        and sys.version_info >= (3, 11)
+        and "fork" in multiprocessing.get_all_start_methods()
+        and threading.active_count() == 1
+    ):
+        return "fork"
+    return "spawn"
 
 
 def ordered_outputs(
@@ -176,9 +205,9 @@ def ordered_outputs(
 
     One worker runs the chunks in this process, as replay must (its
     provider's rows are positional across the corpus). More run them in a
-    pool of spawned processes with at most WINDOW_PER_WORKER chunks per
-    worker in flight. The first error in input order is raised, whichever
-    process met it.
+    pool of processes started by start_method(), with at most
+    WINDOW_PER_WORKER chunks per worker in flight. The first error in
+    input order is raised, whichever process met it.
     """
     if workers <= 1:
         for chunk in chunks:
@@ -192,7 +221,7 @@ def ordered_outputs(
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(start_method()))
     pending: deque = deque()
     chunks = iter(chunks)
     try:

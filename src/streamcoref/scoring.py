@@ -32,11 +32,12 @@ cell the action created, joined or replaced), end_document once. One
 provider serves one engine run at a time.
 
 Replay files are outside input and are checked as they are read, one row
-per mention: a line that is not JSON, a row missing a key or holding a NaN
-raises ParseError with the file and line; a row whose per-cell lists do not
-have one value per cell in memory, a run with more mentions than rows, and
-rows left over after the run raise ScoreShapeMismatch. Errors therefore
-surface in row order, and rows left over are parsed before they are counted.
+per mention: a line that is not JSON, a row missing a key, and a score
+that is not a JSON number or is NaN raise ParseError with the file and
+line; a row whose per-cell lists do not have one value per cell in memory,
+a run with more mentions than rows, and rows left over after the run raise
+ScoreShapeMismatch. Errors therefore surface in row order, and rows left
+over are parsed before they are counted.
 """
 
 from __future__ import annotations
@@ -50,7 +51,9 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .ingest import ParseError, json_line
-from .types import Action, ActionKind, Document, MentionSpan, PicklableError
+# ScoreShapeMismatch lives in types so that the CLI can catch it without
+# importing this module.
+from .types import Action, ActionKind, Document, MentionSpan, ScoreShapeMismatch
 
 
 @dataclass(slots=True)
@@ -103,12 +106,16 @@ class ScoreRow:
 
 
 def _score(value) -> float:
+    # A score is a JSON number: float() would also take "1.0" or true.
+    if type(value) is not float:
+        if type(value) is not int:  # type() is exact: a bool is neither
+            raise TypeError(f"expected a number, got {type(value).__name__}")
+        value = float(value)
     # NaN compares false against everything, so the engine's argmax and
     # argmin would pick by position instead of by value.
-    x = float(value)
-    if x != x:
+    if value != value:
         raise ValueError("NaN score")
-    return x
+    return value
 
 
 def _scores(values) -> tuple[float, ...]:
@@ -120,14 +127,6 @@ def _scores(values) -> tuple[float, ...]:
     # and shrinks in place, so over a long replay the free lists would fill
     # with freed rows (up to 2000 tuples per size) that nothing reuses.
     return tuple([_score(v) for v in values])
-
-
-class ScoreShapeMismatch(PicklableError, RuntimeError):
-    """The replay file does not hold the scores the run needs."""
-
-    def __init__(self, mention_index: int, message: str):
-        self.mention_index = mention_index
-        super().__init__(f"mention {mention_index}: {message}")
 
 
 class ScoreProvider:

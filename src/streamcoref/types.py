@@ -37,6 +37,14 @@ class ConfigError(ValueError):
     """Contradictory or incomplete policy configuration."""
 
 
+class ScoreShapeMismatch(PicklableError, RuntimeError):
+    """The replay file does not hold the scores the run needs."""
+
+    def __init__(self, mention_index: int, message: str):
+        self.mention_index = mention_index
+        super().__init__(f"mention {mention_index}: {message}")
+
+
 class MemoryPolicy(enum.Enum):
     UNBOUNDED = "unbounded"
     UNBOUNDED_STAR = "ustar"

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, file outputs, and exit codes."""
 
+import ast
 import csv
 import hashlib
 import json
@@ -210,6 +211,109 @@ def test_worker_count():
     assert worker_count(0, big, cpus=4) == 1
     assert worker_count(8, CHUNK_BYTES, cpus=8) == 1  # one chunk: no pool
     assert 1 <= worker_count(10**6, big) <= (os.cpu_count() or 1)
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or sys.version_info < (3, 11),
+    reason="workers fork on Linux from Python 3.11",
+)
+def test_pool_workers_fork_on_linux():
+    from streamcoref.pipeline import start_method
+
+    assert start_method() == "fork"
+
+
+@pytest.mark.parametrize(
+    "attr, value",
+    [
+        ("platform", "darwin"),
+        ("platform", "win32"),
+        ("version_info", (3, 10, 13, "final", 0)),
+    ],
+)
+def test_pool_workers_spawn_where_fork_is_unsafe(monkeypatch, attr, value):
+    from streamcoref.pipeline import start_method
+
+    monkeypatch.setattr(sys, attr, value)
+    assert start_method() == "spawn"
+
+
+def test_pool_workers_spawn_beside_another_thread():
+    import threading
+
+    from streamcoref.pipeline import start_method
+
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        assert start_method() == "spawn"
+    finally:
+        release.set()
+        other.join(timeout=60)
+    assert not other.is_alive()
+
+
+def test_pool_workers_spawn_without_fork(monkeypatch):
+    import multiprocessing
+
+    from streamcoref.pipeline import start_method
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert start_method() == "spawn"
+
+
+@pytest.fixture(scope="module")
+def three_chunk_corpus(tmp_path_factory):
+    """A corpus of at least three default-size chunks, so --jobs 2 uses a pool."""
+    path = tmp_path_factory.mktemp("pool") / "corpus.jsonl"
+    write_jsonl(synthesize_corpus(23, 400, max_entities=5, max_mentions=15), path)
+    assert path.stat().st_size > 2 * streamcoref.ingest.CHUNK_BYTES
+    return path
+
+
+def _cli_process(*argv) -> subprocess.CompletedProcess:
+    """The CLI in a new interpreter, stdout piped and so block-buffered."""
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(
+        [sys.executable, "-m", "streamcoref.cli", *map(str, argv)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_pool_prints_once_and_matches_one_worker(tmp_path, three_chunk_corpus):
+    outputs = ("pred.jsonl", "trace.jsonl", "rows.jsonl", "manifest.json")
+    runs = []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        out.mkdir()
+        proc = _cli_process(
+            "run", three_chunk_corpus, "--policy", "rb", "--capacity", 3, "--jobs", jobs,
+            "--out", out / outputs[0], "--trace", out / outputs[1],
+            "--record-scores", out / outputs[2], "--manifest", out / outputs[3],
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("documents            400\n") == 1
+        runs.append([proc.stdout] + [(out / name).read_bytes() for name in outputs])
+    assert runs[0] == runs[1]
+
+
+def test_failed_pool_run_leaves_no_file(tmp_path, three_chunk_corpus):
+    lines = three_chunk_corpus.read_text().splitlines(keepends=True)
+    lines[-3] = "{not json\n"  # in the last chunk, after the pool has started
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(lines))
+    out = tmp_path / "out"
+    out.mkdir()
+    proc = _cli_process(
+        "run", bad, "--jobs", 2, "--out", out / "pred.jsonl", "--trace", out / "trace.jsonl",
+        "--record-scores", out / "rows.jsonl", "--manifest", out / "manifest.json",
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {bad}:{len(lines) - 2}: invalid JSON")
+    assert list(out.iterdir()) == []  # no output and no temporary file
 
 
 def test_jobs_is_a_run_option_only(corpus):
@@ -584,7 +688,6 @@ def test_oracle_writes_trace_with_remaining(tmp_path, corpus, capsys):
 
 
 def test_oracle_traces_each_document_once(monkeypatch, corpus, capsys):
-    import streamcoref.cli
     import streamcoref.oracle
 
     docs, path = corpus
@@ -595,7 +698,7 @@ def test_oracle_traces_each_document_once(monkeypatch, corpus, capsys):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(streamcoref.cli, "oracle_trace", counted)
+    # cli imports oracle_trace when it runs the subcommand.
     monkeypatch.setattr(streamcoref.oracle, "oracle_trace", counted)
     assert run_cli("oracle", path, "--policy", "lb", "--capacity", 1) == 0
     assert len(calls) == len(docs)
@@ -677,14 +780,18 @@ print(sorted(heavy & set(sys.modules)))
 """
 
 
-def _heavy_modules_loaded(code: str, *argv) -> str:
+def _src_env() -> dict[str, str]:
+    """This environment with the package's source directory on PYTHONPATH."""
     src = str(Path(streamcoref.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
+
+
+def _heavy_modules_loaded(code: str, *argv) -> str:
     proc = subprocess.run(
         [sys.executable, "-c", code, *map(str, argv)],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
+        env=_src_env(), capture_output=True, text=True, timeout=120, check=True,
     )
     return proc.stdout.splitlines()[-1]
 
@@ -710,3 +817,97 @@ def test_cli_loads_no_numpy_or_scipy(tmp_path, corpus, argv):
     _, path = corpus
     argv = [a.replace("{corpus}", str(path)).replace("{tmp}", str(tmp_path)) for a in argv]
     assert _heavy_modules_loaded(_PROBE, *argv) == "[]"
+
+
+# Each subcommand imports only the modules it runs, and the package loads
+# a submodule when one of its names is first used.
+
+_MODULES_PROBE = """
+import sys
+from streamcoref.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit:
+    pass
+print(sorted(m.split(".")[1] for m in sys.modules if m.startswith("streamcoref."))
+      + sorted({"hashlib"} & set(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loads, skips",
+    [
+        (("--version",), "ingest",
+         "engine scoring pipeline metrics analytics oracle synth"),
+        (("score", "{corpus}", "{corpus}"), "metrics",
+         "engine scoring pipeline analytics oracle"),
+        (("analyze", "{corpus}"), "analytics",
+         "engine scoring pipeline metrics oracle"),
+        (("run", "{corpus}", "--jobs", "1", "--out", "{tmp}/pred.jsonl"), "pipeline",
+         "metrics analytics oracle synth hashlib"),
+        (("run", "{corpus}", "--jobs", "1", "--manifest", "{tmp}/manifest.json"), "hashlib",
+         "metrics analytics oracle synth"),
+    ],
+    ids=["version", "score", "analyze", "run", "run-manifest"],
+)
+def test_subcommand_loads_only_its_modules(tmp_path, corpus, argv, loads, skips):
+    _, path = corpus
+    argv = [a.replace("{corpus}", str(path)).replace("{tmp}", str(tmp_path)) for a in argv]
+    loaded = set(ast.literal_eval(_heavy_modules_loaded(_MODULES_PROBE, *argv)))
+    assert loads in loaded
+    assert loaded.isdisjoint(skips.split())
+
+
+# The public names of the package as it was when __init__ imported every
+# submodule: attribute access must keep answering for each of them.
+PUBLIC_NAMES = """
+Action ActionKind ClusteringResult ConfigError CorpusStats CountAccumulator
+Document EmptyClusterError EntityCell GoldCluster GoldScoreProvider
+LengthMismatchError MalformedColumnError MemoryPolicy MemoryState MentionSpan
+OracleState OracleStep PRF ParseError PolicyConfig RecordingScoreProvider
+ReplayScoreProvider RunStats SchemaError ScoreProvider ScoreReport ScoreRow
+ScoreShapeMismatch SingletonMode SpreadRecord StringMatchConfig
+StringMatchScoreProvider TrackedEntity UnbalancedBracketError
+active_entity_count analytics b_cubed b_cubed_counts benchmark_document
+ceaf_phi4 ceaf_phi4_counts clusters_from_actions conll_f1 corpus_max_active
+corpus_max_total decide_lb decide_rb decide_unbounded dump_score_rows engine
+entity_spread evaluate_documents filter_singletons gold_scorer histogram_rows
+ingest iter_documents iter_score_rows load_conll load_jsonl load_score_rows
+max_active_entities metrics muc muc_counts oracle oracle_actions oracle_trace
+oracle_trackable_fraction order_mentions parse_conll parse_jsonl
+per_document_stats propose_top_spans read_corpus replay_scorer run_document
+scoring spearman spread_histogram spread_records step string_match_scorer synth
+synthesize_corpus synthesize_document types validate_document write_jsonl
+""".split()
+
+
+def test_package_names_load_on_first_use():
+    code = (
+        "import sys, streamcoref\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.startswith('streamcoref.'))\n"
+        "print(loaded())\n"
+        "streamcoref.run_document\n"
+        "print(loaded())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=_src_env(), capture_output=True, text=True, timeout=120, check=True,
+    )
+    before, after = map(ast.literal_eval, proc.stdout.splitlines())
+    assert before == []
+    assert "streamcoref.engine" in after
+    assert not {"streamcoref.metrics", "streamcoref.analytics", "streamcoref.oracle"} & set(after)
+
+
+def test_package_public_names_are_unchanged():
+    import streamcoref.scoring
+
+    assert sorted(streamcoref.__all__) == sorted(PUBLIC_NAMES)
+    assert [n for n in dir(streamcoref) if not n.startswith("_")] == sorted(PUBLIC_NAMES)
+    for name in PUBLIC_NAMES:
+        assert getattr(streamcoref, name) is not None
+    # Moved to types so that cli can catch it without loading scoring.
+    assert streamcoref.scoring.ScoreShapeMismatch is streamcoref.ScoreShapeMismatch
+    with pytest.raises(AttributeError):
+        streamcoref.no_such_name
+

@@ -150,6 +150,24 @@ def test_parse_conll_malformed_coref_field():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("(\u0663)", "unrecognized"),  # an Arabic-Indic 3 is not entity 3
+        ("(3)|\uff13)", "unrecognized"),  # nor is a fullwidth 3
+        ("(" + "7" * 5000 + ")", "coreference id of 5000 digits"),
+        ("(" + "7" * 5000, "coreference id of 5000 digits"),
+    ],
+    ids=["arabic-indic", "fullwidth", "huge-id", "huge-open"],
+)
+def test_parse_conll_coref_ids_are_ascii_and_bounded(field, message):
+    text = f"#begin document (d); part 000\nw0\t(3)\nw1\t{field}\n#end document\n"
+    with pytest.raises(MalformedColumnError) as err:
+        parse_conll(text)
+    assert err.value.line == 3
+    assert message in str(err.value)
+
+
 def test_parse_conll_content_outside_block():
     with pytest.raises(ParseError):
         parse_conll("stray\t0\t0\ta\tXX\t-\n")

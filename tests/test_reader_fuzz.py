@@ -1,4 +1,5 @@
-"""Fuzzing the document, replay-row and `score` line readers through the CLI.
+"""Fuzzing the document (JSONL and CoNLL), replay-row and `score` line
+readers through the CLI.
 
 The property is the CLI's input contract: a malformed file ends in a named
 error with its documented exit code (2 parse, 4 replay shape, 5 document
@@ -6,6 +7,7 @@ alignment) and leaves no output, or the call succeeds with valid output.
 Any other exception escapes main() and fails the test.
 """
 
+import csv
 import json
 import re
 
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import doc_to_conll
 from streamcoref import synthesize_corpus, write_jsonl
 from streamcoref.cli import main
 from streamcoref.ingest import document_to_jsonl
@@ -111,6 +114,32 @@ def test_replay_reader_fuzz(replay_case, capsys, data):
     else:
         assert err.startswith("error: ")
         assert outputs == []  # no output and no temporary file
+
+
+# JSON values that float() would take for a score, or that are no score.
+not_numbers = st.booleans() | st.text(max_size=6) | st.sampled_from(["1.0", "nan", "-Infinity"])
+
+
+@SETTINGS
+@given(data=st.data(), key=st.sampled_from(["s_m", "s_c", "f_r_cells", "f_r_mention"]))
+def test_replay_score_that_is_not_a_number_exit_2(replay_case, capsys, data, key):
+    root, corpus, recorded = replay_case
+    lines = list(recorded)
+    at = data.draw(st.integers(0, len(lines) - 1))
+    row = json.loads(lines[at])
+    value = data.draw(not_numbers)
+    if key in ("s_m", "f_r_mention"):
+        row[key] = value
+    else:
+        row[key].insert(data.draw(st.integers(0, len(row[key]))), value)
+    lines[at] = _json_line(row)
+    rows = root / "rows.jsonl"
+    rows.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    code = main(["run", str(corpus), "--policy", "lb", "--capacity", "2",
+                 "--scorer", f"replay:{rows}"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {rows}:{at + 1}: malformed score row: expected a number")
 
 
 @pytest.fixture(scope="module")
@@ -270,3 +299,86 @@ def test_document_reader_fuzz(analyze_case, capsys, data):
     assert all(well_typed[: line - 1])
     if not well_typed[line - 1]:
         assert "ill-typed key" in err
+
+
+@pytest.fixture(scope="module")
+def conll_case(tmp_path_factory):
+    root = tmp_path_factory.mktemp("conll")
+    docs = synthesize_corpus(9, 3, max_entities=3, max_mentions=6)
+    text = "".join(doc_to_conll(d, name=f"doc{i}") for i, d in enumerate(docs))
+    return root, text.encode().splitlines()
+
+
+# What may land where a coreference field belongs: bad brackets, stray
+# bars, other scripts' digits, an id longer than int() converts.
+coref_fields = st.sampled_from(
+    ["(1", "1)", "((1)", "(1))", "(1)(", "()", "(-1)", "|", "||", "(1)|", "|(2)", "(1)||(2)",
+     "(٣)", "(٣", "٣)", "(１)", "(" + "9" * 5000 + ")", "(" + "9" * 5000, "(01)", "-", "--"]
+) | st.text(alphabet="()|-0123456789٣ ", min_size=1, max_size=8)
+
+# Whole lines that break the block structure or the encoding.
+bad_lines = st.sampled_from([
+    b"#begin document (x); part 000",  # nested, or a second document
+    b"#begin document (x); part \xd9\xa3",  # "part ٣"
+    b"#begin document (x",
+    b"#end document",
+    b"stray\t0\t0\ta\tXX\t-",
+    b"tok",  # too few columns
+    b"\xff\xfe\t(1)",  # not UTF-8
+    b"w\t\xc3(1)",
+    b"",
+    b"# a comment",
+])
+
+
+@st.composite
+def conll_files(draw, lines):
+    """CoNLL lines with coreference fields, columns and lines edited."""
+    out = list(lines)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(out) - 1))
+        edit = draw(st.sampled_from(["field", "field", "columns", "insert", "drop", "replace"]))
+        cols = out[at].split(b"\t")
+        if edit == "field" and len(cols) > 1:
+            cols[-1] = draw(coref_fields).encode()
+            out[at] = b"\t".join(cols)
+        elif edit == "columns" and len(cols) > 1:
+            del cols[draw(st.integers(0, len(cols) - 1))]
+            out[at] = b"\t".join(cols)
+        elif edit == "drop":
+            del out[at]
+        elif edit == "replace":
+            out[at] = draw(bad_lines)
+        else:
+            out.insert(at, draw(bad_lines))
+        if not out:
+            break
+    return out
+
+
+@SETTINGS
+@given(data=st.data())
+def test_conll_reader_fuzz(conll_case, capsys, data):
+    root, lines = conll_case
+    edited = data.draw(conll_files(lines))
+    corpus = root / "corpus.conll"
+    corpus.write_bytes(b"".join(line + b"\n" for line in edited))
+    out = root / "out"
+    code = main(["analyze", str(corpus), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code in (0, 2)
+    if code == 0:
+        docs = int(re.match(r"documents\s+(\d+)\n", captured.out).group(1))
+        with open(out / "per_document.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == docs
+        assert all(0 <= int(r["mae"]) <= int(r["total_entities"]) for r in rows)
+        for name in ("per_document.csv", "spread_histogram.csv"):
+            (out / name).unlink()
+        return
+    # A named error at a line of the file, and no output.
+    m = re.match(rf"error: {re.escape(str(corpus))}:(\d+): \S", captured.err)
+    assert m is not None, captured.err
+    assert 1 <= int(m.group(1)) <= len(edited)
+    assert not out.exists() or list(out.iterdir()) == []
+

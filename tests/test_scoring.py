@@ -222,7 +222,7 @@ def test_replay_slot_overflow_fails():
         ('{"s_m": NaN, "s_c": [], "f_r_cells": [], "f_r_mention": 1.0}', "NaN"),
         ('{"s_m": 1.0, "s_c": [NaN], "f_r_cells": [1.0], "f_r_mention": 1.0}', "NaN"),
         ('{"s_m": 1.0, "s_c": [1.0], "f_r_cells": [NaN], "f_r_mention": 1.0}', "NaN"),
-        ('{"s_m": 1.0, "s_c": [], "f_r_cells": [], "f_r_mention": "nan"}', "NaN"),
+        ('{"s_m": 1.0, "s_c": [], "f_r_cells": [], "f_r_mention": "nan"}', "got str"),
         ('{"s_m": 1.0, "s_c": 3, "f_r_cells": [], "f_r_mention": 1.0}', "malformed"),
         ('{"s_m": 1.0, "s_c": "12", "f_r_cells": [], "f_r_mention": 1.0}', "list"),
     ],
