@@ -34,11 +34,8 @@ _EXPORTS = {
         "MemoryState",
         "RunStats",
         "clusters_from_actions",
-        "decide_lb",
-        "decide_rb",
-        "decide_unbounded",
+        "decide",
         "run_document",
-        "step",
     ),
     "ingest": (
         "MalformedColumnError",
@@ -69,10 +66,7 @@ _EXPORTS = {
         "muc_counts",
     ),
     "oracle": (
-        "OracleState",
         "OracleStep",
-        "TrackedEntity",
-        "oracle_actions",
         "oracle_trace",
         "oracle_trackable_fraction",
     ),
@@ -90,7 +84,6 @@ _EXPORTS = {
         "iter_score_rows",
         "load_score_rows",
         "propose_top_spans",
-        "replay_scorer",
         "string_match_scorer",
     ),
     "synth": ("benchmark_document", "synthesize_corpus", "synthesize_document"),

@@ -3,7 +3,8 @@
 Each mention is resolved in two steps. Step one looks for the best cell to
 corefer with: the mention joins the cell with the highest coref score when
 that score is strictly positive (ties go to the lowest slot). Step two,
-reached only when no cell attracts the mention, depends on the policy:
+reached only when no cell attracts the mention, depends on the policy
+(decide):
 
 * unbounded: new entity when the mention score is positive, otherwise the
   span is treated as invalid and ignored;
@@ -29,7 +30,8 @@ have the full replay row shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Sequence
 
 from .scoring import EntityCell, ScoreProvider, ScoreRow
@@ -40,8 +42,7 @@ from .types import Action, ActionKind, Document, MemoryPolicy, MentionSpan, Poli
 class MemoryState:
     """Memory between steps: cells in slot order plus counters.
 
-    run_document owns one state per document and advances it in place;
-    step advances a copy.
+    run_document owns one state per document and advances it in place.
     """
 
     cells: list[EntityCell] = field(default_factory=list)
@@ -54,49 +55,41 @@ class MemoryState:
         return self.capacity is not None and len(self.cells) >= self.capacity
 
 
-def decide_unbounded(scores: ScoreRow, star: bool) -> Action:
-    """Step-two rule with unlimited memory."""
-    if star or scores.s_m > 0.0:
-        return Action.new_entity()
-    return Action.ignore_invalid()
-
-
-def decide_lb(state: MemoryState, scores: ScoreRow) -> Action:
-    """Step-two rule for learned-bounded memory.
-
-    Below capacity this is the unbounded rule. At capacity, forget the
-    candidate with the least remaining value: one of the cells, the
-    mention (capacity ignore), or the span's validity (invalid ignore).
-    """
-    if not state.full:
-        return decide_unbounded(scores, star=False)
-    vector = [*scores.f_r_cells, scores.f_r_mention, scores.s_m]
-    d = vector.index(min(vector))
-    m = len(state.cells)
-    if d < m:
-        return Action.evict(d)
-    if d == m:
-        return Action.ignore_capacity()
-    return Action.ignore_invalid()
+_LAST_USE = attrgetter("last_use_ordinal")
 
 
 def lru_slot(state: MemoryState) -> int:
     """Slot of the least recently used cell (ordinals are all distinct)."""
-    return min(range(len(state.cells)), key=lambda i: state.cells[i].last_use_ordinal)
+    return min(state.cells, key=_LAST_USE).slot
 
 
-def decide_rb(state: MemoryState, scores: ScoreRow) -> Action:
-    """Step-two rule for rule-bounded memory: only the LRU cell is at stake."""
-    if not state.full:
-        return decide_unbounded(scores, star=False)
-    lru = lru_slot(state)
-    vector = (scores.f_r_cells[lru], scores.f_r_mention, scores.s_m)
-    d = min(range(3), key=vector.__getitem__)
-    if d == 0:
-        return Action.evict(lru)
-    if d == 1:
-        return Action.ignore_capacity()
-    return Action.ignore_invalid()
+def decide(state: MemoryState, row: ScoreRow, policy: PolicyConfig) -> Action:
+    """Step two: the policy's action for a mention that joined no cell.
+
+    This is the one place that holds the memory policies' rules (see the
+    module docstring); the engine step and the teacher-forcing oracle
+    both decide through it.
+    """
+    kind = policy.policy
+    if kind is MemoryPolicy.UNBOUNDED_STAR:
+        return Action.new_entity()
+    if kind is MemoryPolicy.UNBOUNDED or not state.full:
+        return Action.new_entity() if row.s_m > 0.0 else Action.ignore_invalid()
+    # At capacity, forget the candidate with the least remaining value: a
+    # cell (evict), the mention (capacity ignore) or the span's validity
+    # (invalid ignore). The vector ends with the mention's two entries.
+    if kind is MemoryPolicy.LEARNED_BOUNDED:
+        vector = [*row.f_r_cells, row.f_r_mention, row.s_m]
+        d = vector.index(min(vector))
+        if d < len(state.cells):
+            return Action.evict(d)
+    else:  # rule-bounded: only the least recently used cell is at stake
+        lru = lru_slot(state)
+        vector = [row.f_r_cells[lru], row.f_r_mention, row.s_m]
+        d = vector.index(min(vector))
+        if d == 0:
+            return Action.evict(lru)
+    return Action.ignore_capacity() if d == len(vector) - 2 else Action.ignore_invalid()
 
 
 def _fresh_cell(
@@ -138,40 +131,13 @@ def _advance(
             cells[top].last_use_ordinal = ordinal
             return Action.coref(top)
 
-    if policy.policy is MemoryPolicy.UNBOUNDED:
-        action = decide_unbounded(row, star=False)
-    elif policy.policy is MemoryPolicy.UNBOUNDED_STAR:
-        action = decide_unbounded(row, star=True)
-    elif policy.policy is MemoryPolicy.LEARNED_BOUNDED:
-        action = decide_lb(state, row)
-    else:
-        action = decide_rb(state, row)
-
+    action = decide(state, row, policy)
     if action.kind is ActionKind.NEW_ENTITY:
         cells.append(_fresh_cell(state, len(cells), doc, mention, scores, ordinal))
     elif action.kind is ActionKind.EVICT:
         cells[action.cell] = _fresh_cell(state, action.cell, doc, mention, scores, ordinal)
     # Ignores advance the step ordinal and leave memory untouched.
     return action
-
-
-def step(
-    doc: Document,
-    state: MemoryState,
-    mention: MentionSpan,
-    scores: ScoreProvider,
-    policy: PolicyConfig,
-) -> tuple[MemoryState, Action]:
-    """Process one mention without touching the given state.
-
-    Advances a copy of the state with the same step body run_document
-    uses, and returns it with its cells as a tuple. The provider's
-    lifecycle hooks are the caller's business.
-    """
-    copy = replace(state, cells=[replace(c) for c in state.cells])
-    action = _advance(doc, copy, mention, scores, policy)
-    copy.cells = tuple(copy.cells)
-    return copy, action
 
 
 @dataclass(frozen=True)

@@ -1,35 +1,27 @@
 """Teacher-forcing oracle: the action sequence a clairvoyant policy takes.
 
 The oracle knows the gold clustering and how many mentions of each entity
-are still to come. Per mention, in processing order:
+are still to come, and decides as the engine does with gold scores (see
+scoring.GoldScoreProvider). Per mention, in processing order:
 
 1. a span outside every gold cluster is ignored as invalid;
-2. a mention of a tracked entity corefers with its cell, decrementing the
-   entity's remaining count and refreshing its recency;
-3. a mention of an untracked entity enters memory as a new entity while
-   there is room;
-4. with memory full, the untracked entity's remaining count (including the
-   current mention) is compared against tracked entities: under the
-   learned-bounded policy against the tracked entity with the fewest
-   remaining mentions (recency breaks ties toward the least recently
-   seen), under the rule-bounded policy against the least recently seen
-   entity only. If that entity's remaining count is less than or equal to
-   the newcomer's, it is evicted and replaced; otherwise the mention is
-   ignored for capacity.
+2. a mention of a tracked entity corefers with that entity's cell;
+3. a mention of an untracked entity gets the gold provider's row, with
+   every remaining count as it stands at that step, and takes the action
+   of engine.decide: the memory policy's rule, defined there alone.
 
-An entity that was evicted, or whose earlier mentions were ignored,
-re-enters through rule 4 (or 3) with its then-remaining count: remaining
-counts drop by one for every processed mention of the entity, whatever
-action it received. Unbounded policies never fill memory, so rules 1-3
-cover them.
+A remaining count drops by one for every processed mention of its entity,
+whatever action the mention received.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+import math
+from typing import Iterable, NamedTuple, Sequence
 
+from .engine import MemoryState, decide
 from .ingest import order_mentions
+from .scoring import EntityCell, ScoreRow
 from .types import (
     Action,
     ActionKind,
@@ -40,27 +32,10 @@ from .types import (
 )
 
 
-@dataclass
-class TrackedEntity:
-    """One slot of oracle memory."""
-
-    entity_id: int
-    remaining_mentions: int
-    last_seen_ordinal: int
-
-
-@dataclass
-class OracleState:
-    """Tracked entities in slot order plus the capacity bound."""
-
-    tracked: list[TrackedEntity]
-    capacity: int | None
-
-
-@dataclass(frozen=True)
-class OracleStep:
+class OracleStep(NamedTuple):
     """One oracle decision; remaining is the mention's entity count after
-    the step (None for invalid spans)."""
+    the step (None for invalid spans). A named tuple, built in C: the
+    oracle makes one per mention."""
 
     action: Action
     entity_id: int | None
@@ -72,12 +47,15 @@ def oracle_trace(
     gold: Sequence[GoldCluster],
     policy: PolicyConfig,
 ) -> list[OracleStep]:
+    """The oracle's step for each mention, in processing order."""
     ent_of = {span: c.entity_id for c in gold for span in c.mentions}
-    # Counts for entities not currently tracked; tracked counts live on the
-    # slot entries so each number has exactly one home.
+    # Remaining counts of untracked entities; a tracked entity's count is
+    # its slot's entry in slot_remaining, so each number has one home.
     loose_remaining = {c.entity_id: len(c.mentions) for c in gold}
-    state = OracleState(tracked=[], capacity=policy.capacity)
+    slot_remaining: list[int] = []
     slot_of: dict[int, int] = {}
+    state = MemoryState(capacity=policy.capacity)
+    cells = state.cells
     steps: list[OracleStep] = []
 
     for i, mention in enumerate(mentions):
@@ -86,61 +64,35 @@ def oracle_trace(
             steps.append(OracleStep(Action.ignore_invalid(), None, None))
             continue
 
-        if ent in slot_of:
-            slot = slot_of[ent]
-            entry = state.tracked[slot]
-            entry.remaining_mentions -= 1
-            entry.last_seen_ordinal = i
-            steps.append(OracleStep(Action.coref(slot), ent, entry.remaining_mentions))
+        slot = slot_of.get(ent)
+        if slot is not None:
+            slot_remaining[slot] -= 1
+            cells[slot].last_use_ordinal = i
+            steps.append(OracleStep(Action.coref(slot), ent, slot_remaining[slot]))
             continue
 
-        new_count = loose_remaining[ent]  # includes the current mention
-        if state.capacity is None or len(state.tracked) < state.capacity:
-            slot = len(state.tracked)
-            state.tracked.append(TrackedEntity(ent, new_count - 1, i))
-            slot_of[ent] = slot
-            del loose_remaining[ent]
-            steps.append(OracleStep(Action.new_entity(), ent, new_count - 1))
+        count = loose_remaining.pop(ent)  # includes the current mention
+        row = ScoreRow(math.inf, (-1.0,) * len(cells), tuple(slot_remaining), count)
+        action = decide(state, row, policy)
+        steps.append(OracleStep(action, ent, count - 1))
+        # A cell's id is the step that made it: unique, like the engine's.
+        if action.kind is ActionKind.NEW_ENTITY:
+            slot = len(cells)
+            cells.append(EntityCell(i, slot, i, ent))
+            slot_remaining.append(count - 1)
+        elif action.kind is ActionKind.EVICT:
+            slot = action.cell
+            victim = cells[slot].gold_entity_id
+            del slot_of[victim]
+            loose_remaining[victim] = slot_remaining[slot]
+            cells[slot] = EntityCell(i, slot, i, ent)
+            slot_remaining[slot] = count - 1
+        else:
+            loose_remaining[ent] = count - 1
             continue
-
-        if policy.policy.value == "rb":
-            candidates = [
-                min(
-                    range(len(state.tracked)),
-                    key=lambda s: state.tracked[s].last_seen_ordinal,
-                )
-            ]
-        else:
-            candidates = list(range(len(state.tracked)))
-        victim_slot = min(
-            candidates,
-            key=lambda s: (
-                state.tracked[s].remaining_mentions,
-                state.tracked[s].last_seen_ordinal,
-            ),
-        )
-        victim = state.tracked[victim_slot]
-        if victim.remaining_mentions <= new_count:
-            del slot_of[victim.entity_id]
-            loose_remaining[victim.entity_id] = victim.remaining_mentions
-            state.tracked[victim_slot] = TrackedEntity(ent, new_count - 1, i)
-            slot_of[ent] = victim_slot
-            del loose_remaining[ent]
-            steps.append(OracleStep(Action.evict(victim_slot), ent, new_count - 1))
-        else:
-            loose_remaining[ent] = new_count - 1
-            steps.append(OracleStep(Action.ignore_capacity(), ent, new_count - 1))
+        slot_of[ent] = slot
 
     return steps
-
-
-def oracle_actions(
-    mentions: Sequence[MentionSpan],
-    gold: Sequence[GoldCluster],
-    policy: PolicyConfig,
-) -> list[Action]:
-    """Just the action sequence; see oracle_trace for per-step detail."""
-    return [s.action for s in oracle_trace(mentions, gold, policy)]
 
 
 def capacity_ignores(steps: Iterable[OracleStep]) -> int:

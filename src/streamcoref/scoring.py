@@ -43,6 +43,7 @@ over are parsed before they are counted.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -176,12 +177,15 @@ class ScoreProvider:
 
 
 class GoldScoreProvider(ScoreProvider):
-    """Scores read off the gold clustering: +1 / -1 by gold membership.
+    """Scores read off the gold clustering.
 
-    remaining_score counts gold mentions of an entity not yet processed;
-    the mention currently being processed still counts for its own entity,
-    while a tracked cell's count covers strictly future material. An
-    invalid span has no entity and gets remaining 0.
+    A gold span scores s_m = +inf, so that no remaining count can make a
+    bounded policy ignore it as invalid; a span outside every gold cluster
+    scores -1. coref_score is +1 for the cell of the span's gold entity
+    and -1 otherwise. remaining_score counts gold mentions of an entity
+    not yet processed; the mention currently being processed still counts
+    for its own entity, while a tracked cell's count covers strictly
+    future material. An invalid span has no entity and gets remaining 0.
     """
 
     def __init__(self, doc: Document | None = None):
@@ -212,10 +216,10 @@ class GoldScoreProvider(ScoreProvider):
         if ent is None:
             return ScoreRow(-1.0, (-1.0,) * len(cells), f_r_cells, 0.0)
         s_c = tuple([1.0 if c.gold_entity_id == ent else -1.0 for c in cells])
-        return ScoreRow(1.0, s_c, f_r_cells, remaining[ent])
+        return ScoreRow(math.inf, s_c, f_r_cells, remaining[ent])
 
     def mention_score(self, doc: Document, mention: MentionSpan) -> float:
-        return 1.0 if mention in self._ent_of else -1.0
+        return math.inf if mention in self._ent_of else -1.0
 
     def coref_score(self, doc: Document, mention: MentionSpan, cell: EntityCell) -> float:
         ent = self._ent_of.get(mention)
@@ -463,10 +467,6 @@ class ReplayScoreProvider(ScoreProvider):
                 )
             return row.f_r_cells[item.slot]
         return row.f_r_mention
-
-
-def replay_scorer(path: str | Path) -> ReplayScoreProvider:
-    return ReplayScoreProvider.from_file(path)
 
 
 class RecordingScoreProvider(ScoreProvider):

@@ -496,7 +496,7 @@ def test_replay_errors_come_in_row_order(tmp_path, corpus, capsys, case, code, m
     [
         lambda line: "{not json",
         lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "s_c"}),
-        lambda line: line.replace('"s_m": 1.0', '"s_m": NaN'),
+        lambda line: line.replace('"s_m": Infinity', '"s_m": NaN'),
     ],
     ids=["not-json", "missing-key", "nan-s_m"],
 )
@@ -847,37 +847,39 @@ print(sorted(m.split(".")[1] for m in sys.modules if m.startswith("streamcoref."
          "metrics analytics oracle synth hashlib"),
         (("run", "{corpus}", "--jobs", "1", "--manifest", "{tmp}/manifest.json"), "hashlib",
          "metrics analytics oracle synth"),
+        (("oracle", "{corpus}", "--policy", "lb", "--capacity", "3"), "oracle engine scoring",
+         "pipeline metrics analytics synth hashlib"),
     ],
-    ids=["version", "score", "analyze", "run", "run-manifest"],
+    ids=["version", "score", "analyze", "run", "run-manifest", "oracle"],
 )
 def test_subcommand_loads_only_its_modules(tmp_path, corpus, argv, loads, skips):
     _, path = corpus
     argv = [a.replace("{corpus}", str(path)).replace("{tmp}", str(tmp_path)) for a in argv]
     loaded = set(ast.literal_eval(_heavy_modules_loaded(_MODULES_PROBE, *argv)))
-    assert loads in loaded
+    assert set(loads.split()) <= loaded
     assert loaded.isdisjoint(skips.split())
 
 
-# The public names of the package as it was when __init__ imported every
-# submodule: attribute access must keep answering for each of them.
+# The public names of the package: attribute access must answer for each
+# of them, as it did when __init__ imported every submodule.
 PUBLIC_NAMES = """
 Action ActionKind ClusteringResult ConfigError CorpusStats CountAccumulator
 Document EmptyClusterError EntityCell GoldCluster GoldScoreProvider
 LengthMismatchError MalformedColumnError MemoryPolicy MemoryState MentionSpan
-OracleState OracleStep PRF ParseError PolicyConfig RecordingScoreProvider
+OracleStep PRF ParseError PolicyConfig RecordingScoreProvider
 ReplayScoreProvider RunStats SchemaError ScoreProvider ScoreReport ScoreRow
 ScoreShapeMismatch SingletonMode SpreadRecord StringMatchConfig
-StringMatchScoreProvider TrackedEntity UnbalancedBracketError
-active_entity_count analytics b_cubed b_cubed_counts benchmark_document
-ceaf_phi4 ceaf_phi4_counts clusters_from_actions conll_f1 corpus_max_active
-corpus_max_total decide_lb decide_rb decide_unbounded dump_score_rows engine
-entity_spread evaluate_documents filter_singletons gold_scorer histogram_rows
-ingest iter_documents iter_score_rows load_conll load_jsonl load_score_rows
-max_active_entities metrics muc muc_counts oracle oracle_actions oracle_trace
+StringMatchScoreProvider UnbalancedBracketError active_entity_count analytics
+b_cubed b_cubed_counts benchmark_document ceaf_phi4 ceaf_phi4_counts
+clusters_from_actions conll_f1 corpus_max_active corpus_max_total decide
+dump_score_rows engine entity_spread
+evaluate_documents filter_singletons gold_scorer histogram_rows ingest
+iter_documents iter_score_rows load_conll load_jsonl load_score_rows
+max_active_entities metrics muc muc_counts oracle oracle_trace
 oracle_trackable_fraction order_mentions parse_conll parse_jsonl
-per_document_stats propose_top_spans read_corpus replay_scorer run_document
-scoring spearman spread_histogram spread_records step string_match_scorer synth
-synthesize_corpus synthesize_document types validate_document write_jsonl
+per_document_stats propose_top_spans read_corpus run_document scoring spearman
+spread_histogram spread_records string_match_scorer synth synthesize_corpus
+synthesize_document types validate_document write_jsonl
 """.split()
 
 

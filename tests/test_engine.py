@@ -21,12 +21,9 @@ from streamcoref import (
     ReplayScoreProvider,
     SingletonMode,
     clusters_from_actions,
-    decide_lb,
-    decide_rb,
-    decide_unbounded,
+    decide,
     gold_scorer,
     run_document,
-    step,
     string_match_scorer,
     synthesize_corpus,
 )
@@ -71,33 +68,34 @@ def scores_for(s_m, s_c, f_r_cells, f_r_mention) -> ScoreRow:
 
 
 def test_decide_unbounded_variants():
+    state = make_state([0, 1], capacity=None)
     positive = scores_for(0.5, (), (), 0.0)
     negative = scores_for(-0.5, (), (), 0.0)
-    assert decide_unbounded(positive, star=False) == Action.new_entity()
-    assert decide_unbounded(negative, star=False) == Action.ignore_invalid()
+    assert decide(state, positive, UNBOUNDED) == Action.new_entity()
+    assert decide(state, negative, UNBOUNDED) == Action.ignore_invalid()
     # the star variant appends regardless of the mention score
-    assert decide_unbounded(negative, star=True) == Action.new_entity()
+    assert decide(state, negative, USTAR) == Action.new_entity()
 
 
 def test_decide_lb_prefers_weakest_position():
     state = make_state([0, 1], capacity=2)
     # least useful: the first tracked entity
-    assert decide_lb(state, scores_for(5.0, (), (0.1, 3.0), 2.0)) == Action.evict(0)
+    assert decide(state, scores_for(5.0, (), (0.1, 3.0), 2.0), lb(2)) == Action.evict(0)
     # least useful: the incoming mention
-    assert decide_lb(state, scores_for(5.0, (), (2.0, 3.0), 1.0)) == Action.ignore_capacity()
+    assert decide(state, scores_for(5.0, (), (2.0, 3.0), 1.0), lb(2)) == Action.ignore_capacity()
     # least useful: the mention score itself
-    assert decide_lb(state, scores_for(0.5, (), (2.0, 3.0), 1.5)) == Action.ignore_invalid()
+    assert decide(state, scores_for(0.5, (), (2.0, 3.0), 1.5), lb(2)) == Action.ignore_invalid()
 
 
 def test_decide_lb_tie_goes_to_lowest_index():
     state = make_state([0, 1], capacity=2)
-    assert decide_lb(state, scores_for(1.0, (), (1.0, 1.0), 1.0)) == Action.evict(0)
+    assert decide(state, scores_for(1.0, (), (1.0, 1.0), 1.0), lb(2)) == Action.evict(0)
 
 
 def test_decide_lb_below_capacity_acts_unbounded():
     state = make_state([0], capacity=2)
-    assert decide_lb(state, scores_for(0.9, (), (5.0,), 1.0)) == Action.new_entity()
-    assert decide_lb(state, scores_for(-0.9, (), (5.0,), 1.0)) == Action.ignore_invalid()
+    assert decide(state, scores_for(0.9, (), (5.0,), 1.0), lb(2)) == Action.new_entity()
+    assert decide(state, scores_for(-0.9, (), (5.0,), 1.0), lb(2)) == Action.ignore_invalid()
 
 
 def test_decide_rb_considers_only_the_lru_cell():
@@ -106,11 +104,14 @@ def test_decide_rb_considers_only_the_lru_cell():
     assert lru_slot(state) == 1
     scores = scores_for(5.0, (), (0.1, 9.0), 2.0)
     # the learned rule would evict slot 0; the lru rule only offers slot 1
-    assert decide_lb(state, scores) == Action.evict(0)
-    assert decide_rb(state, scores) == Action.ignore_capacity()
+    assert decide(state, scores, lb(2)) == Action.evict(0)
+    assert decide(state, scores, rb(2)) == Action.ignore_capacity()
     # when the lru cell is the weakest of the triple it does get evicted
-    assert decide_rb(state, scores_for(5.0, (), (0.1, 1.0), 2.0)) == Action.evict(1)
-    assert decide_rb(state, scores_for(0.5, (), (9.0, 8.0), 7.0)) == Action.ignore_invalid()
+    assert decide(state, scores_for(5.0, (), (0.1, 1.0), 2.0), rb(2)) == Action.evict(1)
+    assert decide(state, scores_for(0.5, (), (9.0, 8.0), 7.0), rb(2)) == Action.ignore_invalid()
+    # below capacity it acts unbounded, like the learned rule
+    state = make_state([0], capacity=2)
+    assert decide(state, scores_for(0.9, (), (5.0,), 1.0), rb(2)) == Action.new_entity()
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +157,19 @@ def test_step_coref_wins_even_when_memory_is_full():
 
 
 def test_step_ignores_advance_time_but_not_memory():
-    state = MemoryState(capacity=None)
-    provider = ReplayScoreProvider([ScoreRow(-1.0, (), (), 0.0)])
-    provider.mention_begin(0, SPANS[0])
-    new_state, action = step(TINY, state, SPANS[0], provider, UNBOUNDED)
-    assert action == Action.ignore_invalid()
-    assert new_state.cells == ()
-    assert new_state.next_ordinal == state.next_ordinal + 1
+    touched = []
+
+    class Observed(ReplayScoreProvider):
+        def observe_action(self, index, mention, action, cell):
+            touched.append(cell)
+
+    rows = [ScoreRow(-1.0, (), (), 0.0), ScoreRow(1.0, (), (), 1.0)]
+    result = run_document(TINY, SPANS[:2], Observed(rows), UNBOUNDED)
+    assert result.stats.actions == (Action.ignore_invalid(), Action.new_entity())
+    # memory stayed empty through the ignore, whose step still took ordinal 0
+    assert result.stats.avg_entities_in_memory == 0.5
+    assert touched[0] is None
+    assert (touched[1].slot, touched[1].last_use_ordinal) == (0, 1)
 
 
 def test_eviction_reinitializes_the_slot():
@@ -195,6 +202,16 @@ def test_gold_unbounded_reproduces_gold_clusters():
         got = {frozenset(c) for c in result.predicted_clusters}
         want = {frozenset(c.mentions) for c in doc.gold_clusters}
         assert got == want
+        assert result.stats.ignored_invalid_count == 0
+
+
+@pytest.mark.parametrize("policy", [lb(3), rb(3)], ids=["lb-3", "rb-3"])
+def test_gold_bounded_never_ignores_gold_mentions_as_invalid(policy):
+    # Remaining counts compete with s_m in the bounded argmin; a gold span
+    # must lose to none of them.
+    for doc in synthesize_corpus(40413, 200):
+        mentions, _ = order_mentions(doc.gold_mentions())
+        result = run_document(doc, mentions, gold_scorer(doc), policy)
         assert result.stats.ignored_invalid_count == 0
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import rows_from_actions
+from conftest import reference_run, rows_from_actions
 from streamcoref import (
     Action,
     ActionKind,
@@ -11,10 +11,11 @@ from streamcoref import (
     MemoryPolicy,
     MentionSpan,
     PolicyConfig,
+    RecordingScoreProvider,
     ReplayScoreProvider,
     clusters_from_actions,
+    gold_scorer,
     max_active_entities,
-    oracle_actions,
     oracle_trace,
     oracle_trackable_fraction,
     run_document,
@@ -60,6 +61,10 @@ def trace_for(assignment, policy):
     return oracle_trace(mentions, doc.gold_clusters, policy)
 
 
+def actions_of(steps):
+    return [s.action for s in steps]
+
+
 def kinds_of(steps):
     return [s.action.kind.value for s in steps]
 
@@ -69,7 +74,7 @@ def test_single_slot_eviction_chain():
     # hands twice because each newcomer has at least as much future as
     # what it displaces
     steps = trace_for([0, 1, 0], lb(1))
-    assert [s.action for s in steps] == [
+    assert actions_of(steps) == [
         Action.new_entity(),
         Action.evict(0),
         Action.evict(0),
@@ -80,7 +85,7 @@ def test_single_slot_eviction_chain():
 def test_single_slot_holds_against_richer_entity():
     # A owns three of four mentions; B's lone mention cannot displace it
     steps = trace_for([0, 1, 0, 0], lb(1))
-    assert [s.action for s in steps] == [
+    assert actions_of(steps) == [
         Action.new_entity(),
         Action.ignore_capacity(),
         Action.coref(0),
@@ -97,14 +102,24 @@ def test_remaining_counts_tick_even_while_ignored():
     assert steps[5].remaining == 0
 
 
-def test_eviction_tie_breaks_toward_least_recently_seen():
-    # X and Y both have one future mention when Z arrives; X was seen
-    # longer ago, so X goes
+def test_eviction_tie_breaks_toward_lowest_slot():
+    # X and Y both have one future mention when Z arrives; X holds the
+    # lower slot, so X goes
     steps = trace_for([0, 1, 2, 0, 1], lb(2))
     assert steps[2].action == Action.evict(0)
     # X re-enters by evicting the now-exhausted Z in the same slot
     assert steps[3].action == Action.evict(0)
     assert steps[4].action == Action.coref(1)
+    # The same tie with Y least recently seen: the lowest slot still goes
+    steps = trace_for([0, 1, 0, 2, 0, 1], lb(2))
+    assert actions_of(steps) == [
+        Action.new_entity(),
+        Action.new_entity(),
+        Action.coref(0),
+        Action.evict(0),
+        Action.evict(0),
+        Action.coref(1),
+    ]
 
 
 def test_rule_bounded_considers_only_the_lru_slot():
@@ -120,7 +135,7 @@ def test_rule_bounded_considers_only_the_lru_slot():
 def test_unbounded_oracle_never_drops_gold():
     for doc in synthesize_corpus(111, 20):
         mentions, _ = order_mentions(doc.gold_mentions())
-        actions = oracle_actions(mentions, doc.gold_clusters, UNBOUNDED)
+        actions = actions_of(oracle_trace(mentions, doc.gold_clusters, UNBOUNDED))
         assert {a.kind for a in actions} <= {ActionKind.COREF, ActionKind.NEW_ENTITY}
         got = {frozenset(c) for c in clusters_from_actions(mentions, actions)}
         assert got == {frozenset(c.mentions) for c in doc.gold_clusters}
@@ -141,7 +156,7 @@ def test_sufficient_capacity_tracks_everything():
     for doc in synthesize_corpus(113, 30, max_entities=8):
         mentions, _ = order_mentions(doc.gold_mentions())
         capacity = max(1, max_active_entities(doc))
-        actions = oracle_actions(mentions, doc.gold_clusters, lb(capacity))
+        actions = actions_of(oracle_trace(mentions, doc.gold_clusters, lb(capacity)))
         assert not any(a.kind is ActionKind.IGNORE_CAPACITY for a in actions)
         got = {frozenset(c) for c in clusters_from_actions(mentions, actions)}
         assert got == {frozenset(c.mentions) for c in doc.gold_clusters}
@@ -159,7 +174,7 @@ def test_tight_capacity_reports_drops():
         for mentions, gold in pairs:
             total += sum(
                 1
-                for a in oracle_actions(mentions, gold, policy)
+                for a in actions_of(oracle_trace(mentions, gold, policy))
                 if a.kind is ActionKind.IGNORE_CAPACITY
             )
         return total / len(pairs)
@@ -184,7 +199,35 @@ def test_engine_replays_oracle_actions_exactly():
     for doc in synthesize_corpus(137, 25, max_entities=8):
         mentions, _ = order_mentions(doc.gold_mentions())
         for policy in (lb(2), lb(4), rb(2), rb(4)):
-            want = oracle_actions(mentions, doc.gold_clusters, policy)
+            want = actions_of(oracle_trace(mentions, doc.gold_clusters, policy))
             rows = rows_from_actions(want)
             result = run_document(doc, mentions, ReplayScoreProvider(rows), policy)
             assert list(result.stats.actions) == want
+
+
+DIFFERENTIAL_POLICIES = [UNBOUNDED] + [
+    make(capacity) for make in (lb, rb) for capacity in (1, 2, 3, 5)
+]
+
+
+@pytest.mark.parametrize("seed", [7, 40413, 99])
+def test_oracle_equals_engine_with_gold_scores(seed):
+    # The engine and the per-cell reference loop, which keeps its own copy
+    # of the policy rules, run over candidates that include non-gold spans.
+    docs = synthesize_corpus(seed, 40, max_entities=12, max_mentions=40, extra_candidates=4)
+    for doc in docs:
+        mentions, _ = order_mentions(s for s, _ in doc.candidate_mentions)
+        gold_spans = doc.entity_by_span
+        for policy in DIFFERENTIAL_POLICIES:
+            steps = oracle_trace(mentions, doc.gold_clusters, policy)
+            want = actions_of(steps)
+            recorder = RecordingScoreProvider(gold_scorer(doc))
+            result = run_document(doc, mentions, recorder, policy)
+            assert list(result.stats.actions) == want, (doc.doc_id, policy)
+            reference, _, _ = reference_run(doc, mentions, gold_scorer(doc), policy)
+            assert reference == want, (doc.doc_id, policy)
+            for step, row, mention in zip(steps, recorder.rows, mentions):
+                if mention in gold_spans:
+                    assert step.remaining == row.f_r_mention - 1
+                else:
+                    assert step.remaining is None

@@ -1,6 +1,7 @@
 """Score providers: gold, string match, record/replay, span proposal."""
 
 import json
+import math
 from decimal import Decimal
 
 import pytest
@@ -54,7 +55,7 @@ GOLD_DOC = Document(
 def test_gold_membership_scores():
     provider = gold_scorer(GOLD_DOC)
     provider.mention_begin(0, CHAIN[0])
-    assert provider.mention_score(GOLD_DOC, CHAIN[0]) == 1.0
+    assert provider.mention_score(GOLD_DOC, CHAIN[0]) == math.inf
     assert provider.mention_score(GOLD_DOC, MentionSpan(7, 7)) == -1.0
     assert provider.coref_score(GOLD_DOC, CHAIN[0], cell(entity=0)) == 1.0
     assert provider.coref_score(GOLD_DOC, CHAIN[0], cell(entity=1)) == -1.0
