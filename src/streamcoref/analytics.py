@@ -10,8 +10,7 @@ statistics sit next to the engine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .types import Document, GoldCluster, MentionSpan
 
@@ -24,8 +23,7 @@ class LengthMismatchError(ValueError):
     """Paired sequences of different lengths."""
 
 
-@dataclass(frozen=True)
-class SpreadRecord:
+class SpreadRecord(NamedTuple):
     """Spread of one entity inside one document."""
 
     entity_id: int

@@ -5,44 +5,15 @@ Subcommands: analyze (corpus statistics), run (clustering), oracle
 fixtures). Exit codes: 0 success, 2 parse failure, 3 configuration
 conflict, 4 replay shape mismatch, 5 document alignment failure.
 
-Each subcommand imports the modules it runs when it runs, so a call pays
-for its own imports only.
+This module holds the parser and the exit codes only. The subcommands
+are in commands, which main imports once the arguments are parsed: so
+--version, --help and usage errors load no other module of the package.
 """
 
-from __future__ import annotations
-
 import argparse
-import json
-import math
-import os
 import sys
-from contextlib import closing, contextmanager
-from itertools import chain
-from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, TextIO
 
 from . import __version__
-from .ingest import (
-    MentionSpan,
-    ParseError,
-    SourceLine,
-    iter_documents,
-    json_line,
-    order_mentions,
-    read_chunks,
-    write_jsonl,
-)
-from .types import (
-    ConfigError,
-    Document,
-    MemoryPolicy,
-    PolicyConfig,
-    ScoreShapeMismatch,
-    SingletonMode,
-)
-
-if TYPE_CHECKING:
-    from .metrics import ScoreReport
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -51,22 +22,8 @@ EXIT_REPLAY = 4
 EXIT_ALIGN = 5
 
 
-class DocIdMismatch(ValueError):
-    """Gold and prediction files disagree on which documents exist."""
-
-
 def _err(message) -> None:
     print(f"error: {message}", file=sys.stderr)
-
-
-def _resolve_jobs(args) -> int:
-    if args.jobs is not None:
-        return max(1, args.jobs)
-    raw = os.environ.get("COREF_JOBS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"COREF_JOBS must be an integer, got {raw!r}") from None
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -76,447 +33,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         default="auto",
         help="input format (default: by file extension)",
     )
-
-
-def _policy_from_args(args) -> PolicyConfig:
-    policy = MemoryPolicy(args.policy)
-    capacity = args.capacity if policy.bounded else None
-    if not policy.bounded and args.capacity is not None:
-        raise ConfigError(f"policy {policy.value} does not take a capacity")
-    return PolicyConfig(
-        policy=policy,
-        capacity=capacity,
-        singleton_mode=SingletonMode(getattr(args, "singletons", "keep")),
-    )
-
-
-def _parse_scorer(spec: str) -> tuple[str, object]:
-    if spec == "gold":
-        return ("gold", None)
-    if spec == "string-match":
-        return ("string-match", None)
-    if spec.startswith("replay:"):
-        path = spec.split(":", 1)[1]
-        if not path:
-            raise ConfigError("replay scorer needs a file: --scorer replay:PATH")
-        return ("replay", path)
-    raise ConfigError(f"unknown scorer {spec!r} (use gold, string-match, or replay:PATH)")
-
-
-@contextmanager
-def _staged(paths: dict[str, str | None]) -> Iterator[dict[str, TextIO]]:
-    """Open a temporary file beside each given target path.
-
-    The files replace their targets only when the block completes; on any
-    error they are deleted, so a failed run leaves no output behind. They
-    are opened with newline="", so what is written is what lands on disk
-    (the csv module's own line ends included).
-    """
-    files: dict[str, TextIO] = {}
-    done = False
-    try:
-        for key, path in paths.items():
-            if path:
-                target = Path(path)
-                tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-                files[key] = open(tmp, "x", encoding="utf-8", newline="")
-        yield files
-        done = True
-    finally:
-        for fh in files.values():
-            fh.close()
-        for key, fh in files.items():
-            if done:
-                os.replace(fh.name, paths[key])
-            else:
-                os.unlink(fh.name)
-
-
-class _ManifestWriter:
-    """Streams the run manifest: everything needed to reproduce the run,
-    a digest of each document's clusters and a sha256 of each input file.
-
-    The text equals json.dumps(manifest, indent=2, sort_keys=True), whose
-    key order (config, documents, input_digests, version) lets the
-    document entries be written as they come.
-    """
-
-    def __init__(self, fh: TextIO, config: dict):
-        self.fh = fh
-        head = json.dumps({"config": config}, indent=2, sort_keys=True)
-        fh.write(head[: -len("\n}")] + ',\n  "documents": [')
-        self.entries = 0
-
-    def add(self, doc_id: str, digest: str) -> None:
-        entry = json.dumps({"digest": digest, "doc_id": doc_id}, indent=2, sort_keys=True)
-        sep = "," if self.entries else ""
-        self.fh.write(sep + "\n    " + entry.replace("\n", "\n    "))
-        self.entries += 1
-
-    def finish(self, input_digests: list[tuple[str, str]]) -> None:
-        tail = json.dumps(
-            {
-                "input_digests": [{"path": p, "sha256": h} for p, h in input_digests],
-                "version": __version__,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        self.fh.write(("\n  ]" if self.entries else "]") + "," + tail[1:] + "\n")
-
-
-def cmd_run(args) -> int:
-    from .pipeline import RunSpec, ordered_outputs, worker_count
-    from .scoring import ReplayScoreProvider, StringMatchConfig
-
-    policy = _policy_from_args(args)
-    scorer_kind, scorer_arg = _parse_scorer(args.scorer)
-    ratio = args.proposal_ratio
-    if ratio is not None and not 0 < ratio < math.inf:
-        raise ConfigError(f"--proposal-ratio must be positive and finite, got {ratio}")
-    jobs = _resolve_jobs(args)
-    match_cfg = StringMatchConfig(
-        lowercase=not args.no_lowercase,
-        strip_determiners=args.strip_determiners,
-    )
-    spec = RunSpec(
-        policy=policy,
-        scorer=scorer_kind,
-        match=match_cfg,
-        ratio=ratio,
-        trace=bool(args.trace),
-        record=args.record_scores is not None,
-        manifest=bool(args.manifest),
-    )
-    # Replay rows are positional across the corpus, so replay runs in this
-    # process whatever --jobs says.
-    replay = ReplayScoreProvider.from_file(scorer_arg) if scorer_kind == "replay" else None
-    corpus_bytes = sum(os.path.getsize(p) for p in args.inputs)
-    workers = 1 if replay else worker_count(jobs, corpus_bytes)
-
-    docs = steps = peak = ignored_cap = ignored_inv = evictions = 0
-    entity_steps = 0.0
-    digests: list[tuple[str, str]] = []
-    targets = {
-        "out": args.out,
-        "trace": args.trace,
-        "rows": args.record_scores,
-        "manifest": args.manifest,
-    }
-    with _staged(targets) as files:
-        out, trace, rows = files.get("out"), files.get("trace"), files.get("rows")
-        manifest = None
-        if args.manifest:
-            manifest = _ManifestWriter(
-                files["manifest"],
-                {
-                    "command": "run",
-                    "policy": policy.policy.value,
-                    "capacity": policy.capacity,
-                    "scorer": args.scorer,
-                    "singletons": policy.singleton_mode.value,
-                    "proposal_ratio": args.proposal_ratio,
-                    "lowercase": match_cfg.lowercase,
-                    "strip_determiners": match_cfg.strip_determiners,
-                    "format": args.format,
-                    "inputs": [str(p) for p in args.inputs],
-                },
-            )
-        chunks = read_chunks(args.inputs, args.format, digests if manifest else None)
-        with closing(ordered_outputs(spec, chunks, workers, replay)) as outputs:
-            for o in outputs:
-                docs += 1
-                steps += o.mentions
-                entity_steps += o.entity_steps
-                peak = max(peak, o.max_entities)
-                ignored_cap += o.ignored_capacity
-                ignored_inv += o.ignored_invalid
-                evictions += o.evictions
-                if out:
-                    out.write(o.prediction)
-                if trace:
-                    trace.write(o.trace)
-                if rows:
-                    rows.write(o.rows)
-                if manifest:
-                    manifest.add(o.doc_id, o.digest)
-        if replay:
-            replay.check_exhausted()
-        if manifest:
-            manifest.finish(digests)
-
-    pooled_avg = entity_steps / steps if steps else 0.0
-    capacity_txt = "none" if policy.capacity is None else str(policy.capacity)
-    print(f"documents            {docs}")
-    print(
-        f"policy               {policy.policy.value} "
-        f"(capacity {capacity_txt}, singletons {policy.singleton_mode.value})"
-    )
-    print(f"scorer               {args.scorer}")
-    print(f"entities in memory   avg {pooled_avg:.2f}, max {peak}")
-    print(f"ignored (capacity)   {ignored_cap}")
-    print(f"ignored (invalid)    {ignored_inv}")
-    print(f"evictions            {evictions}")
-    return EXIT_OK
-
-
-def cmd_analyze(args) -> int:
-    import csv
-
-    from .analytics import CorpusStats, histogram_rows
-
-    if args.buckets < 1:
-        raise ConfigError(f"--buckets must be at least 1, got {args.buckets}")
-    targets = {}
-    if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        targets = {
-            "per_document": str(outdir / "per_document.csv"),
-            "histogram": str(outdir / "spread_histogram.csv"),
-        }
-    stats = CorpusStats(args.buckets, args.exclude_singletons)
-    with _staged(targets) as files:
-        per_document = csv.writer(files["per_document"]) if files else None
-        if per_document:
-            per_document.writerow(["doc_id", "mae", "total_entities", "doc_len"])
-        # map drops each document once stats.add returns, before the next
-        # one is parsed.
-        for row in map(stats.add, iter_documents(args.inputs, args.format)):
-            if per_document:
-                per_document.writerow(row)
-        if files:
-            histogram = csv.writer(files["histogram"])
-            histogram.writerow(["bucket_lo", "bucket_hi", "count"])
-            histogram.writerows(histogram_rows(stats.histogram, args.buckets))
-
-    label_width = 44
-    print(f"{'documents':<{label_width}}{stats.documents:>6}")
-    print(f"{'Max. Total Entity Count':<{label_width}}{stats.max_total:>6}")
-    print(f"{'Max. Active Entity Count':<{label_width}}{stats.max_active:>6}")
-    print(
-        f"{'Max. Active Entity Count (no singletons)':<{label_width}}"
-        f"{stats.max_active_no_singletons:>6}"
-    )
-    return EXIT_OK
-
-
-def _oracle_document(
-    doc: Document, policy: PolicyConfig, out: TextIO | None
-) -> tuple[int, int]:
-    """Trace one document, write its trace to out if given, and return its
-    (capacity ignores, gold mentions)."""
-    from .oracle import capacity_ignores, oracle_trace
-
-    mentions, _ = order_mentions(doc.gold_mentions())
-    steps = oracle_trace(mentions, doc.gold_clusters, policy)
-    if out:
-        out.write(json.dumps({"doc_id": doc.doc_id}) + "\n")
-        for mention, stp in zip(mentions, steps):
-            obj = {"mention": mention.as_pair()}
-            obj.update(stp.action.to_obj())
-            obj["remaining"] = stp.remaining
-            out.write(json.dumps(obj) + "\n")
-    return capacity_ignores(steps), len(steps)
-
-
-def cmd_oracle(args) -> int:
-    from .oracle import trackable_fraction
-
-    policy = _policy_from_args(args)
-    docs = ignored = total = 0
-    with _staged({"out": args.out}) as files:
-        out = files.get("out")
-        traced = map(
-            lambda doc: _oracle_document(doc, policy, out),
-            iter_documents(args.inputs, args.format),
-        )
-        for doc_ignored, doc_total in traced:
-            docs += 1
-            ignored += doc_ignored
-            total += doc_total
-
-    fraction = trackable_fraction(ignored, total)
-    mean_ignored = ignored / docs if docs else 0.0
-    capacity_txt = "none" if policy.capacity is None else str(policy.capacity)
-    print(f"documents            {docs}")
-    print(f"policy               {policy.policy.value} (capacity {capacity_txt})")
-    print(f"trackable_fraction   {fraction:.6f}")
-    print(f"mean_ignored_per_doc {mean_ignored:.3f}")
-    return EXIT_OK
-
-
-Clusters = list[list[MentionSpan]]
-
-
-def _aligned_clusters(
-    gold_path: str, pred_path: str, fmt: str
-) -> Iterator[tuple[Clusters, Clusters]]:
-    """(gold clusters, predicted clusters) per doc_id, in gold file order.
-
-    While both files list the same doc_ids in the same order (as run
-    writes them) they are read in lockstep, holding one document of each
-    and the doc_ids read. From the first doc_id that differs, the rest of
-    the predictions is indexed by doc_id. Raises DocIdMismatch for a
-    doc_id repeated in one file, and, once both files are read, for
-    doc_ids in only one of them.
-    """
-    golds = _cluster_records(gold_path, fmt)
-    preds = _cluster_records(pred_path, fmt)
-    # The doc_ids read in lockstep, from both files. A dict, not a set:
-    # CPython grows a set's table fourfold, so 600 doc_ids take 33 KB of
-    # table as a set and 13 KB as a dict.
-    ids: dict[str, None] = {}
-    while True:
-        gold_rec = next(golds, None)
-        pred_rec = next(preds, None)
-        if gold_rec is None or pred_rec is None or gold_rec[0] != pred_rec[0]:
-            break
-        _add_new(ids, gold_rec[0], gold_path)
-        yield gold_rec[1], pred_rec[1]
-        del gold_rec, pred_rec  # released before the next pair is read
-    if gold_rec is None and pred_rec is None:
-        return
-
-    gold_ids, pred_ids = ids, dict(ids)
-    rest: dict[str, Clusters] = {}
-    for pred_id, pred in chain([pred_rec] if pred_rec else [], preds):
-        _add_new(pred_ids, pred_id, pred_path)
-        rest[pred_id] = pred
-    for gold_id, gold in chain([gold_rec] if gold_rec else [], golds):
-        _add_new(gold_ids, gold_id, gold_path)
-        if gold_id in rest:
-            yield gold, rest.pop(gold_id)
-
-    missing_pred = gold_ids.keys() - pred_ids.keys()
-    missing_gold = pred_ids.keys() - gold_ids.keys()
-    parts = []
-    if missing_pred:
-        parts.append(f"not in predictions: {', '.join(sorted(missing_pred)[:5])}")
-    if missing_gold:
-        parts.append(f"not in gold: {', '.join(sorted(missing_gold)[:5])}")
-    if parts:
-        raise DocIdMismatch("; ".join(parts))
-
-
-def _add_new(ids: dict[str, None], doc_id: str, path: str) -> None:
-    """Add doc_id to ids; a repeat raises DocIdMismatch.
-
-    A repeat would replace the earlier document and silently shrink the
-    corpus being scored.
-    """
-    if doc_id in ids:
-        raise DocIdMismatch(f"duplicate doc_id {doc_id!r} in {path}")
-    ids[doc_id] = None
-
-
-def _cluster_records(path: str, fmt: str) -> Iterator[tuple[str, Clusters]]:
-    for chunk in read_chunks([path], fmt):
-        for item in chunk:
-            if isinstance(item, SourceLine):
-                yield _cluster_record(item)
-            else:
-                yield item.doc_id, [list(c.mentions) for c in item.gold_clusters]
-
-
-def _cluster_record(line: SourceLine) -> tuple[str, Clusters]:
-    """doc_id and clusters of a predictions line or a corpus line.
-
-    The clusters must partition the mentions, which is what the metrics
-    are defined for: a span is a pair of integers and appears once, and a
-    cluster is not empty (MUC would count it as -1 links).
-    """
-    where = {"path": line.path, "line": line.line_no}
-    obj = json_line(line.text, path=line.path, line_no=line.line_no)
-    if not isinstance(obj, dict) or not isinstance(obj.get("doc_id"), str):
-        raise ParseError("expected an object with a string doc_id", **where)
-    key = "clusters" if "clusters" in obj else "gold_clusters"
-    if key not in obj:
-        raise ParseError("expected clusters or gold_clusters", **where)
-    clusters: Clusters = []
-    try:
-        for raw in obj[key]:
-            cluster = []
-            for start, end in raw:
-                if type(start) is not int or type(end) is not int:  # bool is not a token index
-                    raise TypeError
-                cluster.append(MentionSpan(start, end))
-            clusters.append(cluster)
-    except (TypeError, ValueError):
-        raise ParseError(f"ill-typed {key}", **where) from None
-    if not all(clusters):
-        raise ParseError(f"empty cluster in {key}", **where)
-    if len(set(chain.from_iterable(clusters))) < sum(map(len, clusters)):
-        repeat = _first_repeat(chain.from_iterable(clusters))
-        raise ParseError(
-            f"mention {repeat.as_pair()} appears twice in {key}; a mention belongs to one cluster",
-            **where,
-        )
-    return obj["doc_id"], clusters
-
-
-def _first_repeat(spans: Iterator[MentionSpan]) -> MentionSpan:
-    """The first span equal to an earlier one; the caller knows there is one."""
-    seen: set[MentionSpan] = set()
-    for span in spans:
-        if span in seen:
-            return span
-        seen.add(span)
-    raise ValueError("no span repeats")
-
-
-def _report_table(report: ScoreReport) -> str:
-    groups = [("MUC", report.muc), ("B3", report.b_cubed), ("CEAF-phi4", report.ceaf_phi4)]
-    head1 = " " * 8 + "".join(f"{name:^21}" for name, _ in groups)
-    head2 = " " * 8 + "".join(
-        f"{h:>7}" for _ in groups for h in ("P", "R", "F1")
-    ) + f"{'Avg F1':>9}"
-    row = f"{'corpus':<8}" + "".join(
-        f"{100 * v:7.1f}"
-        for _, prf in groups
-        for v in (prf.precision, prf.recall, prf.f1)
-    ) + f"{100 * report.conll_f1:9.1f}"
-    return "\n".join([head1, head2, row])
-
-
-def cmd_score(args) -> int:
-    from .metrics import CountAccumulator
-
-    drop = args.singletons == "drop"
-    acc = CountAccumulator()
-    for gold, pred in _aligned_clusters(args.gold, args.pred, args.format):
-        acc.add(gold, pred, drop_singletons=drop)
-        del gold, pred  # released before the next pair is read
-    report = acc.report()
-    print(_report_table(report))
-    if args.json:
-        payload = {
-            "muc": vars(report.muc),
-            "b_cubed": vars(report.b_cubed),
-            "ceaf_phi4": vars(report.ceaf_phi4),
-            "conll_f1": report.conll_f1,
-        }
-        Path(args.json).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-    return EXIT_OK
-
-
-def cmd_synth(args) -> int:
-    from .synth import synthesize_corpus
-
-    docs = synthesize_corpus(
-        args.seed,
-        args.docs,
-        max_tokens=args.max_tokens,
-        max_entities=args.max_entities,
-        max_mentions=args.max_mentions,
-        min_entities=args.min_entities,
-        extra_candidates=args.extra_candidates,
-    )
-    write_jsonl(docs, args.out)
-    print(f"wrote {len(docs)} documents to {args.out}")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -533,13 +49,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--exclude-singletons", action="store_true")
     p_analyze.add_argument("--out", help="directory for CSV exports")
     _add_common(p_analyze)
-    p_analyze.set_defaults(func=cmd_analyze)
 
     p_run = sub.add_parser("run", help="cluster a corpus incrementally")
     p_run.add_argument("inputs", nargs="+")
     p_run.add_argument(
         "--policy",
-        choices=[p.value for p in MemoryPolicy],
+        choices=("unbounded", "ustar", "lb", "rb"),  # the MemoryPolicy values
         default="unbounded",
     )
     p_run.add_argument("--capacity", type=int, default=None)
@@ -559,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes, capped at the CPU count (default: COREF_JOBS or 1)",
     )
     _add_common(p_run)
-    p_run.set_defaults(func=cmd_run)
 
     p_oracle = sub.add_parser("oracle", help="teacher-forcing action diagnostics")
     p_oracle.add_argument("inputs", nargs="+")
@@ -569,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--capacity", type=int, default=None)
     p_oracle.add_argument("--out", help="oracle trace JSONL")
     _add_common(p_oracle)
-    p_oracle.set_defaults(func=cmd_oracle)
 
     p_score = sub.add_parser("score", help="evaluate predictions against gold")
     p_score.add_argument("gold")
@@ -577,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--singletons", choices=("keep", "drop"), default="keep")
     p_score.add_argument("--json", help="write the report as JSON")
     _add_common(p_score)
-    p_score.set_defaults(func=cmd_score)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic corpus")
     p_synth.add_argument("--seed", type=int, required=True)
@@ -588,15 +100,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--min-entities", type=int, default=1)
     p_synth.add_argument("--extra-candidates", type=int, default=0)
     p_synth.add_argument("--out", required=True)
-    p_synth.set_defaults(func=cmd_synth)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # --version, --help and usage errors have exited inside parse_args.
+    from . import commands
+    from .ingest import ParseError
+    from .types import ConfigError, ScoreShapeMismatch
+
     try:
-        return args.func(args)
+        getattr(commands, f"cmd_{args.command}")(args)
+        return EXIT_OK
     except ParseError as e:
         _err(e)
         return EXIT_PARSE
@@ -606,7 +123,7 @@ def main(argv=None) -> int:
     except ScoreShapeMismatch as e:
         _err(e)
         return EXIT_REPLAY
-    except DocIdMismatch as e:
+    except commands.DocIdMismatch as e:
         _err(e)
         return EXIT_ALIGN
     except OSError as e:

@@ -30,25 +30,40 @@ have the full replay row shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .scoring import EntityCell, ScoreProvider, ScoreRow
-from .types import Action, ActionKind, Document, MemoryPolicy, MentionSpan, PolicyConfig
+from .types import (
+    Action,
+    ActionKind,
+    Document,
+    MemoryPolicy,
+    MentionSpan,
+    PolicyConfig,
+    Record,
+)
 
 
-@dataclass
-class MemoryState:
+class MemoryState(Record):
     """Memory between steps: cells in slot order plus counters.
 
     run_document owns one state per document and advances it in place.
     """
 
-    cells: list[EntityCell] = field(default_factory=list)
-    capacity: int | None = None
-    next_ordinal: int = 0
-    next_cell_id: int = 0
+    __slots__ = _fields = ("cells", "capacity", "next_ordinal", "next_cell_id")
+
+    def __init__(
+        self,
+        cells: list[EntityCell] | None = None,
+        capacity: int | None = None,
+        next_ordinal: int = 0,
+        next_cell_id: int = 0,
+    ):
+        self.cells = [] if cells is None else cells
+        self.capacity = capacity
+        self.next_ordinal = next_ordinal
+        self.next_cell_id = next_cell_id
 
     @property
     def full(self) -> bool:
@@ -140,8 +155,7 @@ def _advance(
     return action
 
 
-@dataclass(frozen=True)
-class RunStats:
+class RunStats(NamedTuple):
     """Bookkeeping for one document run."""
 
     avg_entities_in_memory: float
@@ -152,8 +166,7 @@ class RunStats:
     actions: tuple[Action, ...]
 
 
-@dataclass(frozen=True)
-class ClusteringResult:
+class ClusteringResult(NamedTuple):
     predicted_clusters: tuple[tuple[MentionSpan, ...], ...]
     stats: RunStats
 

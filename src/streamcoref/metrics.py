@@ -13,18 +13,21 @@ clusters of pairs score alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence
+
+from .types import FrozenRecord
 
 Cluster = frozenset
 Counts = tuple[float, float, float, float]  # p_num, p_den, r_num, r_den
 
 
-@dataclass(frozen=True)
-class PRF:
-    precision: float
-    recall: float
-    f1: float
+class PRF(FrozenRecord):
+    """Precision, recall and F1; vars(prf) is the three of them."""
+
+    _fields = ("precision", "recall", "f1")
+
+    def __init__(self, precision: float, recall: float, f1: float):
+        vars(self).update(precision=precision, recall=recall, f1=f1)
 
     @classmethod
     def from_counts(cls, counts: Counts) -> "PRF":
@@ -35,8 +38,7 @@ class PRF:
         return cls(p, r, f)
 
 
-@dataclass(frozen=True)
-class ScoreReport:
+class ScoreReport(NamedTuple):
     muc: PRF
     b_cubed: PRF
     ceaf_phi4: PRF

@@ -18,7 +18,6 @@ import json
 import os
 import sys
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .engine import run_document
@@ -38,8 +37,7 @@ from .types import Action, Document, MentionSpan, PolicyConfig
 WINDOW_PER_WORKER = 2
 
 
-@dataclass(frozen=True)
-class RunSpec:
+class RunSpec(NamedTuple):
     """Everything a document's run needs besides the document.
 
     scorer is "gold", "string-match" or "replay"; replay runs take their

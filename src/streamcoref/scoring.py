@@ -46,19 +46,16 @@ import json
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
-from decimal import Decimal
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .ingest import ParseError, json_line
 # ScoreShapeMismatch lives in types so that the CLI can catch it without
 # importing this module.
-from .types import Action, ActionKind, Document, MentionSpan, ScoreShapeMismatch
+from .types import Action, ActionKind, Document, MentionSpan, Record, ScoreShapeMismatch
 
 
-@dataclass(slots=True)
-class EntityCell:
+class EntityCell(Record):
     """One memory slot tracking a single entity.
 
     slot is the cell's fixed position in memory: positions are assigned at
@@ -68,15 +65,22 @@ class EntityCell:
     gold_entity_id is populated only when the provider knows gold identities.
     """
 
-    cell_id: int
-    slot: int
-    last_use_ordinal: int
-    gold_entity_id: int | None = None
+    __slots__ = _fields = ("cell_id", "slot", "last_use_ordinal", "gold_entity_id")
+
+    def __init__(
+        self, cell_id: int, slot: int, last_use_ordinal: int, gold_entity_id: int | None = None
+    ):
+        self.cell_id = cell_id
+        self.slot = slot
+        self.last_use_ordinal = last_use_ordinal
+        self.gold_entity_id = gold_entity_id
 
 
-@dataclass(frozen=True, slots=True)
-class ScoreRow:
-    """All scores for one mention step, with per-cell values in slot order."""
+class ScoreRow(NamedTuple):
+    """All scores for one mention step, with per-cell values in slot order.
+
+    A named tuple: providers build one per engine step.
+    """
 
     s_m: float
     s_c: tuple[float, ...]
@@ -246,8 +250,7 @@ def gold_scorer(doc: Document) -> GoldScoreProvider:
 _DETERMINERS = frozenset({"the", "a", "an"})
 
 
-@dataclass(frozen=True)
-class StringMatchConfig:
+class StringMatchConfig(NamedTuple):
     lowercase: bool = True
     strip_determiners: bool = False
 
@@ -514,6 +517,8 @@ def propose_top_spans(
     computed on the decimal value of the ratio, so 0.3 of a 10-token
     document is exactly 3 despite binary floating point.
     """
+    from decimal import Decimal  # ~3 ms to import: only a run with a ratio pays it
+
     if ratio <= 0:
         raise ValueError("ratio must be positive")
     if doc_len < 1:

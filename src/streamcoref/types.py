@@ -6,12 +6,16 @@ named tuple, so it equals, hashes and sorts like the plain pair. All values
 here are immutable after construction; invariant checking lives in
 validate_document, which reports violations instead of raising so that
 callers can decide what is fatal.
+
+The package's records are named tuples, or Record classes where a named
+tuple does not fit, rather than dataclasses: defining a dataclass imports
+inspect and execs its generated methods, which every CLI call would pay
+for at start-up.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import NamedTuple
 
@@ -31,6 +35,51 @@ class PicklableError:
 
     def __reduce__(self):
         return (_restore_error, (type(self), self.args), self.__dict__)
+
+
+class Record:
+    """Base of the records that cannot be named tuples: equality and repr
+    by the fields named in _fields.
+
+    A mutable record keeps its fields in __slots__ and is unhashable; see
+    FrozenRecord for the immutable ones. Records of different classes
+    never compare equal.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A Record whose fields are set once, in __init__ through vars(self).
+
+    Assigning or deleting an attribute afterwards raises AttributeError,
+    and the record hashes by its fields.
+    """
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
 
 class ConfigError(ValueError):
@@ -81,24 +130,48 @@ class MentionSpan(NamedTuple):
         return [self.start, self.end]
 
 
-@dataclass(frozen=True)
-class GoldCluster:
+class GoldCluster(NamedTuple):
     """All mentions of one gold entity."""
 
     entity_id: int
     mentions: tuple[MentionSpan, ...]
 
 
-@dataclass(frozen=True)
-class Document:
-    doc_id: str
-    tokens: tuple[str, ...]
-    # Cumulative sentence ends: boundary b means a sentence ends right
-    # before token b. Strictly increasing, each in 1..len(tokens).
-    sentence_boundaries: tuple[int, ...] = ()
-    genre: str | None = None
-    candidate_mentions: tuple[tuple[MentionSpan, float], ...] = ()
-    gold_clusters: tuple[GoldCluster, ...] = ()
+class Document(FrozenRecord):
+    """One tokenized document; len(doc) is its token count.
+
+    sentence_boundaries are cumulative sentence ends: boundary b means a
+    sentence ends right before token b. Strictly increasing, each in
+    1..len(tokens). Documents equal and hash by these six fields; the
+    entity_by_span cache is not one of them.
+    """
+
+    _fields = (
+        "doc_id",
+        "tokens",
+        "sentence_boundaries",
+        "genre",
+        "candidate_mentions",
+        "gold_clusters",
+    )
+
+    def __init__(
+        self,
+        doc_id: str,
+        tokens: tuple[str, ...],
+        sentence_boundaries: tuple[int, ...] = (),
+        genre: str | None = None,
+        candidate_mentions: tuple[tuple[MentionSpan, float], ...] = (),
+        gold_clusters: tuple[GoldCluster, ...] = (),
+    ):
+        vars(self).update(
+            doc_id=doc_id,
+            tokens=tokens,
+            sentence_boundaries=sentence_boundaries,
+            genre=genre,
+            candidate_mentions=candidate_mentions,
+            gold_clusters=gold_clusters,
+        )
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -129,19 +202,28 @@ class ActionKind(enum.Enum):
 _CELL_KINDS = frozenset({ActionKind.COREF, ActionKind.EVICT})
 
 
-@dataclass(frozen=True)
-class Action:
+class _ActionFields(NamedTuple):
+    kind: ActionKind
+    cell: int | None
+
+
+class Action(_ActionFields):
     """One per-mention decision; cell is the target slot for coref/evict."""
 
-    kind: ActionKind
-    cell: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind in _CELL_KINDS:
-            if self.cell is None or self.cell < 0:
-                raise ValueError(f"{self.kind.value} requires a cell index")
-        elif self.cell is not None:
-            raise ValueError(f"{self.kind.value} carries no cell index")
+    def __new__(cls, kind: ActionKind, cell: int | None = None) -> "Action":
+        if kind in _CELL_KINDS:
+            if cell is None or cell < 0:
+                raise ValueError(f"{kind.value} requires a cell index")
+        elif cell is not None:
+            raise ValueError(f"{kind.value} carries no cell index")
+        return super().__new__(cls, kind, cell)
+
+    @classmethod
+    def _make(cls, iterable) -> "Action":
+        # _replace builds through _make, which would skip the checks.
+        return cls(*iterable)
 
     # Actions are immutable, so each constructor builds a given action once
     # and then hands out the same instance: an engine run allocates no
@@ -183,8 +265,13 @@ class Action:
         return cls(ActionKind(obj["action"]), obj.get("cell"))
 
 
-@dataclass(frozen=True)
-class PolicyConfig:
+class _PolicyFields(NamedTuple):
+    policy: MemoryPolicy
+    capacity: int | None
+    singleton_mode: SingletonMode
+
+
+class PolicyConfig(_PolicyFields):
     """Which memory policy to run, its capacity, and singleton handling.
 
     capacity is None for the unbounded policies and a positive integer for
@@ -193,28 +280,32 @@ class PolicyConfig:
     config is rejected here rather than by a surprise downstream.
     """
 
-    policy: MemoryPolicy
-    capacity: int | None = None
-    singleton_mode: SingletonMode = SingletonMode.KEEP
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.policy.bounded:
-            if self.capacity is None:
-                raise ConfigError(f"policy {self.policy.value} requires a finite capacity")
-            if self.capacity < 1:
-                raise ConfigError(f"capacity must be >= 1, got {self.capacity}")
-        elif self.capacity is not None:
-            raise ConfigError(
-                f"policy {self.policy.value} is unbounded; capacity must be omitted"
-            )
-        if (
-            self.policy is MemoryPolicy.UNBOUNDED_STAR
-            and self.singleton_mode is SingletonMode.KEEP
-        ):
+    def __new__(
+        cls,
+        policy: MemoryPolicy,
+        capacity: int | None = None,
+        singleton_mode: SingletonMode = SingletonMode.KEEP,
+    ) -> "PolicyConfig":
+        if policy.bounded:
+            if capacity is None:
+                raise ConfigError(f"policy {policy.value} requires a finite capacity")
+            if capacity < 1:
+                raise ConfigError(f"capacity must be >= 1, got {capacity}")
+        elif capacity is not None:
+            raise ConfigError(f"policy {policy.value} is unbounded; capacity must be omitted")
+        if policy is MemoryPolicy.UNBOUNDED_STAR and singleton_mode is SingletonMode.KEEP:
             raise ConfigError(
                 "unbounded-star turns every non-coreferent mention into an entity "
                 "and only makes sense when singletons are dropped in evaluation"
             )
+        return super().__new__(cls, policy, capacity, singleton_mode)
+
+    @classmethod
+    def _make(cls, iterable) -> "PolicyConfig":
+        # _replace builds through _make, which would skip the checks.
+        return cls(*iterable)
 
     @property
     def bounded(self) -> bool:

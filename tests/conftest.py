@@ -6,7 +6,6 @@ hide inside its own test oracle.
 """
 
 from collections import Counter, defaultdict
-from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
@@ -174,7 +173,8 @@ def reference_run(doc, mentions, scores, policy):
         action = _reference_decide(cells, row, policy)
         touched = None
         if action.kind is ActionKind.COREF:
-            touched = replace(cells[action.cell], last_use_ordinal=i)
+            old = cells[action.cell]
+            touched = EntityCell(old.cell_id, old.slot, i, old.gold_entity_id)
             cells = cells[: action.cell] + (touched,) + cells[action.cell + 1 :]
         elif action.kind in (ActionKind.NEW_ENTITY, ActionKind.EVICT):
             slot = len(cells) if action.cell is None else action.cell

@@ -231,15 +231,16 @@ def test_linear_runtime():
         doc = benchmark_document(7, n)
         mentions, _ = order_mentions(s for s, _ in doc.candidate_mentions)
         inputs.append((doc, mentions))
-    # Best of three at every size, in rounds over all sizes, so that a slow
-    # spell of a shared machine cannot land on one size only.
+    # CPU time of this process, so that time slices other processes get do
+    # not count; best of three at every size, in rounds over all sizes, so
+    # that a slow spell of a shared machine cannot land on one size only.
     totals = [math.inf] * len(sizes)
     for _ in range(3):
         for i, (doc, mentions) in enumerate(inputs):
             scores = StringMatchScoreProvider()
-            start = time.perf_counter()
+            start = time.process_time()
             run_document(doc, mentions, scores, policy)
-            totals[i] = min(totals[i], time.perf_counter() - start)
+            totals[i] = min(totals[i], time.process_time() - start)
 
     per_mention = [t / n for t, n in zip(totals, sizes)]
     assert max(per_mention) / min(per_mention) < 2.0, per_mention

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, file outputs, and exit codes."""
 
+import argparse
 import ast
 import csv
 import hashlib
@@ -23,7 +24,7 @@ from streamcoref import (
     synthesize_corpus,
     write_jsonl,
 )
-from streamcoref.cli import main
+from streamcoref.cli import build_parser, main
 
 
 def run_cli(*argv):
@@ -386,6 +387,22 @@ def test_manifest_records_input_digests(tmp_path, corpus):
     after = manifest_of(path, empty)["input_digests"]
     assert after[0]["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
     assert after[0] != before[0] and after[1] == before[1]
+
+
+def test_manifest_text_escapes_doc_ids(tmp_path, corpus):
+    # Entries are written from a template: their text must still be exactly
+    # what json.dumps of the whole manifest gives, escapes included.
+    docs, _ = corpus
+    ids = ['say "hi"', "back\\slash", "caf\u00e9 \u6587\u66f8", "tab\tbell\x07", "plain"]
+    path = tmp_path / "odd_ids.jsonl"
+    write_jsonl([Document(doc_id=i, tokens=d.tokens, gold_clusters=d.gold_clusters)
+                 for i, d in zip(ids, docs)], path)
+    manifest = tmp_path / "manifest.json"
+    assert run_cli("run", path, "--manifest", manifest) == 0
+    text = manifest.read_text(encoding="utf-8")
+    obj = json.loads(text)
+    assert [d["doc_id"] for d in obj["documents"]] == ids
+    assert text == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def test_run_jobs_env_fallback(tmp_path, corpus, monkeypatch):
@@ -820,9 +837,13 @@ def test_cli_loads_no_numpy_or_scipy(tmp_path, corpus, argv):
 
 
 # Each subcommand imports only the modules it runs, and the package loads
-# a submodule when one of its names is first used.
+# a submodule when one of its names is first used. No call defines a
+# dataclass (which imports inspect), and decimal, which only the proposal
+# cut-off uses, loads only for a run given --proposal-ratio.
 
-_MODULES_PROBE = """
+_STDLIB_WATCHED = {"hashlib", "dataclasses", "inspect", "decimal"}
+
+_MODULES_PROBE = f"""
 import sys
 from streamcoref.cli import main
 try:
@@ -830,27 +851,36 @@ try:
 except SystemExit:
     pass
 print(sorted(m.split(".")[1] for m in sys.modules if m.startswith("streamcoref."))
-      + sorted({"hashlib"} & set(sys.modules)))
+      + sorted({_STDLIB_WATCHED!r} & set(sys.modules)))
 """
+
+_ALL_SUBMODULES = "commands types ingest engine scoring pipeline metrics analytics oracle synth"
 
 
 @pytest.mark.parametrize(
     "argv, loads, skips",
     [
-        (("--version",), "ingest",
-         "engine scoring pipeline metrics analytics oracle synth"),
+        (("--version",), "cli", _ALL_SUBMODULES),
+        (("--help",), "cli", _ALL_SUBMODULES),
+        (("run", "--policy", "nope", "{corpus}"), "cli", _ALL_SUBMODULES),
         (("score", "{corpus}", "{corpus}"), "metrics",
          "engine scoring pipeline analytics oracle"),
         (("analyze", "{corpus}"), "analytics",
          "engine scoring pipeline metrics oracle"),
         (("run", "{corpus}", "--jobs", "1", "--out", "{tmp}/pred.jsonl"), "pipeline",
          "metrics analytics oracle synth hashlib"),
+        (("run", "{corpus}", "--jobs", "1", "--proposal-ratio", "0.3",
+          "--out", "{tmp}/pred.jsonl"), "pipeline decimal",
+         "metrics analytics oracle synth hashlib"),
         (("run", "{corpus}", "--jobs", "1", "--manifest", "{tmp}/manifest.json"), "hashlib",
          "metrics analytics oracle synth"),
         (("oracle", "{corpus}", "--policy", "lb", "--capacity", "3"), "oracle engine scoring",
          "pipeline metrics analytics synth hashlib"),
+        (("synth", "--seed", "1", "--docs", "2", "--out", "{tmp}/synth.jsonl"), "synth",
+         "engine scoring pipeline metrics analytics oracle"),
     ],
-    ids=["version", "score", "analyze", "run", "run-manifest", "oracle"],
+    ids=["version", "help", "usage-error", "score", "analyze", "run", "run-ratio",
+         "run-manifest", "oracle", "synth"],
 )
 def test_subcommand_loads_only_its_modules(tmp_path, corpus, argv, loads, skips):
     _, path = corpus
@@ -858,6 +888,21 @@ def test_subcommand_loads_only_its_modules(tmp_path, corpus, argv, loads, skips)
     loaded = set(ast.literal_eval(_heavy_modules_loaded(_MODULES_PROBE, *argv)))
     assert set(loads.split()) <= loaded
     assert loaded.isdisjoint(skips.split())
+    assert loaded.isdisjoint({"dataclasses", "inspect"})
+    assert ("decimal" in loaded) == ("decimal" in loads.split())
+
+
+def test_policy_choices_are_the_memory_policies():
+    # The parser spells the choices out so that --help need not import types.
+    subcommands = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+
+    def policy_choices(command):
+        return next(a for a in subcommands[command]._actions if a.dest == "policy").choices
+
+    assert list(policy_choices("run")) == [p.value for p in MemoryPolicy]
+    assert set(policy_choices("oracle")) <= set(policy_choices("run"))
 
 
 # The public names of the package: attribute access must answer for each

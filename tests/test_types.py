@@ -1,4 +1,4 @@
-"""Spans, documents, actions, and policy configuration."""
+"""Spans, documents, actions, policy configuration, and the record types."""
 
 import pickle
 
@@ -8,17 +8,27 @@ from hypothesis import strategies as st
 
 from conftest import reference_validate_document
 from streamcoref import (
+    PRF,
     Action,
     ActionKind,
+    ClusteringResult,
     ConfigError,
     Document,
+    EntityCell,
     GoldCluster,
     MemoryPolicy,
+    MemoryState,
     MentionSpan,
     PolicyConfig,
+    RunStats,
+    ScoreReport,
+    ScoreRow,
     SingletonMode,
+    SpreadRecord,
+    StringMatchConfig,
     validate_document,
 )
+from streamcoref.pipeline import RunSpec
 
 
 def make_doc(**overrides) -> Document:
@@ -247,3 +257,87 @@ def test_policy_star_needs_dropped_singletons():
         PolicyConfig(MemoryPolicy.UNBOUNDED_STAR)
     cfg = PolicyConfig(MemoryPolicy.UNBOUNDED_STAR, singleton_mode=SingletonMode.DROP)
     assert not cfg.bounded
+
+
+# The records are named tuples or Record classes, not dataclasses: each
+# keeps equality and hashing by value, pickles (the run pool sends RunSpec
+# and PolicyConfig to its workers), and rejects assignment.
+
+
+def _records() -> list:
+    """One of each immutable record, built afresh on every call."""
+    span = MentionSpan(0, 1)
+    policy = PolicyConfig(MemoryPolicy.RULE_BOUNDED, capacity=3)
+    stats = RunStats(1.5, 2, 0, 1, 0, (Action.new_entity(), Action.coref(0)))
+    prf = PRF(0.5, 0.25, 1 / 3)
+    return [
+        GoldCluster(0, (span,)),
+        make_doc(),
+        Action(ActionKind.EVICT, 2),
+        policy,
+        ScoreRow(1.0, (0.5, -1.0), (2.0, 0.0), 3.0),
+        StringMatchConfig(strip_determiners=True),
+        stats,
+        ClusteringResult(((span,),), stats),
+        RunSpec(policy, "string-match", StringMatchConfig(), 0.5, trace=True),
+        SpreadRecord(0, span, 1, 0.2),
+        ScoreReport(prf, prf, prf, 1 / 3),
+        prf,
+    ]
+
+
+@pytest.mark.parametrize(
+    "index", range(len(_records())), ids=[type(r).__name__ for r in _records()]
+)
+def test_immutable_records(index):
+    record, twin = _records()[index], _records()[index]
+    assert record == twin and hash(record) == hash(twin)
+    back = pickle.loads(pickle.dumps(record))
+    assert type(back) is type(record)
+    assert back == record and hash(back) == hash(record)
+    name = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, name, getattr(record, name))
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert record == twin
+
+
+def test_document_equality_ignores_its_span_cache():
+    doc, twin = make_doc(), make_doc()
+    assert doc.entity_by_span  # cached on doc only
+    assert doc == twin and hash(doc) == hash(twin)
+    assert pickle.loads(pickle.dumps(doc)) == twin
+    assert doc != make_doc(doc_id="other") and doc != make_doc(genre="nw")
+    with pytest.raises(AttributeError):
+        del doc.tokens
+
+
+def test_replace_keeps_constructor_checks():
+    with pytest.raises(ConfigError):
+        PolicyConfig(MemoryPolicy.LEARNED_BOUNDED, capacity=2)._replace(capacity=0)
+    with pytest.raises(ValueError):
+        Action.coref(1)._replace(cell=None)
+    assert Action.coref(1)._replace(cell=4) == Action.coref(4)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: EntityCell(cell_id=3, slot=1, last_use_ordinal=7, gold_entity_id=2),
+        lambda: MemoryState([EntityCell(0, 0, 0)], capacity=2, next_ordinal=1, next_cell_id=1),
+    ],
+    ids=["EntityCell", "MemoryState"],
+)
+def test_mutable_records(make):
+    record, twin = make(), make()
+    assert record == twin
+    assert pickle.loads(pickle.dumps(record)) == record
+    with pytest.raises(TypeError):
+        hash(record)
+    name = record._fields[-1]
+    setattr(record, name, 99)
+    assert getattr(record, name) == 99 and record != twin
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert repr(twin).startswith(f"{type(twin).__name__}({twin._fields[0]}=")
