@@ -122,7 +122,9 @@ def run_one(spec: RunSpec, doc: Document, provider: ScoreProvider | None = None)
         trace = json.dumps({"doc_id": doc.doc_id}) + "\n" + trace_lines(mentions, stats.actions)
     rows = ""
     if recorder is not None:
-        rows = "".join(json.dumps(row.to_obj()) + "\n" for row in recorder.rows)
+        from .rowcodec import encode_row  # loaded only by a run that records
+
+        rows = "".join(map(encode_row, recorder.rows))
     digest = ""
     if spec.manifest:
         import hashlib  # ~5 ms (OpenSSL): loaded only for a manifest

@@ -32,17 +32,16 @@ cell the action created, joined or replaced), end_document once. One
 provider serves one engine run at a time.
 
 Replay files are outside input and are checked as they are read, one row
-per mention: a line that is not JSON, a row missing a key, and a score
-that is not a JSON number or is NaN raise ParseError with the file and
-line; a row whose per-cell lists do not have one value per cell in memory,
-a run with more mentions than rows, and rows left over after the run raise
-ScoreShapeMismatch. Errors therefore surface in row order, and rows left
-over are parsed before they are counted.
+per mention: a line that is not UTF-8 or not JSON, a row missing a key,
+and a score that is not a JSON number or is NaN raise ParseError with the
+file and line; a row whose per-cell lists do not have one value per cell
+in memory, a run with more mentions than rows, and rows left over after
+the run raise ScoreShapeMismatch. Errors therefore surface in row order,
+and rows left over are parsed before they are counted.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from collections import Counter
@@ -365,18 +364,38 @@ def iter_score_rows(path: str | Path) -> Iterator[ScoreRow]:
     """The rows of a replay file, each read and parsed when asked for.
 
     A line that is not a well-formed row raises ParseError with the file
-    and line once the reader reaches it.
+    and line once the reader reaches it. A line in the layout that
+    dump_score_rows writes, with numbers the process has read before, is
+    decoded directly (see rowcodec); any other goes through the JSON
+    parser.
     """
+    from .rowcodec import decode_row, remember
+
     path = str(path)
-    with open(path, encoding="utf-8") as fh:
+    # Undecodable bytes become lone surrogates, so that they fail on their
+    # own line, after the rows before them have been served.
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
-            if line.strip():
+            row = decode_row(line)
+            if row is None:
+                if not line.isascii():
+                    _check_utf8(line, path, line_no)
+                if not line.strip():
+                    continue
                 obj = json_line(line, path=path, line_no=line_no)
                 try:
                     row = ScoreRow.from_obj(obj)
                 except ValueError as e:
                     raise ParseError(str(e), path=path, line=line_no) from None
-                yield row
+                remember(line, row)
+            yield row
+
+
+def _check_utf8(line: str, path: str, line_no: int) -> None:
+    try:
+        line.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"not UTF-8: {e.reason}", path=path, line=line_no) from None
 
 
 def load_score_rows(path: str | Path) -> list[ScoreRow]:
@@ -385,9 +404,11 @@ def load_score_rows(path: str | Path) -> list[ScoreRow]:
 
 
 def dump_score_rows(rows: Iterable[ScoreRow], path: str | Path) -> None:
+    """Write rows as a replay file: json.dumps(row.to_obj()) per line."""
+    from .rowcodec import encode_row
+
     with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row.to_obj()) + "\n")
+        fh.writelines(map(encode_row, rows))
 
 
 class ReplayScoreProvider(ScoreProvider):
@@ -502,9 +523,6 @@ class RecordingScoreProvider(ScoreProvider):
 
     def end_document(self) -> None:
         self.inner.end_document()
-
-    def save(self, path: str | Path) -> None:
-        dump_score_rows(self.rows, path)
 
 
 def propose_top_spans(

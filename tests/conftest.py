@@ -5,6 +5,7 @@ math, not against the library internals, so a bug in the package cannot
 hide inside its own test oracle.
 """
 
+import json
 from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import permutations
@@ -21,6 +22,7 @@ from streamcoref import (
     ScoreProvider,
     ScoreRow,
 )
+from streamcoref.ingest import ParseError, json_line
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +255,33 @@ class ReferenceStringMatch(ScoreProvider):
             self.strings[cell.cell_id].add(text)
         else:
             self.strings[cell.cell_id] = {text}
+
+
+# ---------------------------------------------------------------------------
+# replay rows the generic way: reference for the row codec
+
+
+def reference_score_rows(path):
+    """The rows of a replay file, each line through the generic JSON path.
+
+    Text mode, json_line and ScoreRow.from_obj per non-blank line, raising
+    ParseError with the file and line: the reader before the row codec.
+    """
+    path = str(path)
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line.strip():
+                obj = json_line(line, path=path, line_no=line_no)
+                try:
+                    row = ScoreRow.from_obj(obj)
+                except ValueError as e:
+                    raise ParseError(str(e), path=path, line=line_no) from None
+                yield row
+
+
+def reference_row_line(row: ScoreRow) -> str:
+    """A row's replay line as json.dumps writes it: the writer before the codec."""
+    return json.dumps(row.to_obj()) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from streamcoref import (
     PolicyConfig,
     RecordingScoreProvider,
     ReplayScoreProvider,
+    ScoreProvider,
     SingletonMode,
     StringMatchScoreProvider,
     b_cubed,
@@ -34,6 +35,7 @@ from streamcoref import (
     conll_f1,
     corpus_max_active,
     corpus_max_total,
+    dump_score_rows,
     max_active_entities,
     muc,
     oracle_trace,
@@ -258,6 +260,76 @@ def test_linear_runtime():
     assert r2 >= 0.99, f"R^2 {r2:.4f}"
 
 
+class CountingScores(ScoreProvider):
+    """Wraps a provider and counts the score values each engine step asks for.
+
+    A step is everything from one mention_begin to the next. step_scores
+    counts the row's values; each scalar query counts one.
+    """
+
+    def __init__(self, inner: ScoreProvider):
+        self.inner = inner
+        self.steps = 0
+        self.step_calls = 0
+        self.values = 0  # in the current step
+        self.most = 0  # in any step
+
+    def _count(self, values: int) -> None:
+        self.values += values
+        self.most = max(self.most, self.values)
+
+    def start_document(self, doc, mentions):
+        self.inner.start_document(doc, mentions)
+
+    def mention_begin(self, index, mention):
+        self.steps += 1
+        self.values = 0
+        self.inner.mention_begin(index, mention)
+
+    def step_scores(self, doc, mention, cells):
+        row = self.inner.step_scores(doc, mention, cells)
+        self.step_calls += 1
+        self._count(2 + len(row.s_c) + len(row.f_r_cells))
+        return row
+
+    def mention_score(self, doc, mention):
+        self._count(1)
+        return self.inner.mention_score(doc, mention)
+
+    def coref_score(self, doc, mention, cell):
+        self._count(1)
+        return self.inner.coref_score(doc, mention, cell)
+
+    def remaining_score(self, doc, item):
+        self._count(1)
+        return self.inner.remaining_score(doc, item)
+
+    def gold_entity_id(self, doc, mention):
+        return self.inner.gold_entity_id(doc, mention)
+
+    def observe_action(self, index, mention, action, cell):
+        self.inner.observe_action(index, mention, action, cell)
+
+    def end_document(self):
+        self.inner.end_document()
+
+
+@criterion("6b. every step reads at most 2 * capacity + 2 score values, 1k to 100k mentions")
+def test_score_values_per_step_are_bounded():
+    # The clock-free half of criterion 6: per-step work the engine asks of
+    # its provider does not grow with the document.
+    for n in (1_000, 10_000, 100_000):
+        doc = benchmark_document(7, n)
+        mentions, _ = order_mentions(s for s, _ in doc.candidate_mentions)
+        for policy in (MemoryPolicy.LEARNED_BOUNDED, MemoryPolicy.RULE_BOUNDED):
+            capacity = 20
+            scores = CountingScores(StringMatchScoreProvider())
+            run_document(doc, mentions, scores, PolicyConfig(policy, capacity))
+            assert scores.steps == scores.step_calls == len(mentions), (n, policy)
+            # Memory fills in every run, so the bound is met, not just kept.
+            assert scores.most == 2 * capacity + 2, (n, policy, scores.most)
+
+
 @criterion("7. README states what needs trained scorers and documents the replay path")
 def test_readme_documents_scope():
     readme = Path(__file__).resolve().parent.parent / "README.md"
@@ -298,7 +370,7 @@ def test_record_replay_fidelity(tmp_path):
         live, recorder = trace_bytes(
             docs, lambda: RecordingScoreProvider(StringMatchScoreProvider()), config
         )
-        recorder.save(rows_path)
+        dump_score_rows(recorder.rows, rows_path)
         replayed, _ = trace_bytes(
             docs, lambda: ReplayScoreProvider.from_file(rows_path), config
         )

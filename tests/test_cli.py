@@ -508,6 +508,32 @@ def test_replay_errors_come_in_row_order(tmp_path, corpus, capsys, case, code, m
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "rows.jsonl"]
 
 
+@pytest.mark.parametrize("shape_error_first", [False, True])
+def test_replay_file_not_utf8_exit_2(tmp_path, corpus, capsys, shape_error_first):
+    _, path = corpus
+    rows = tmp_path / "rows.jsonl"
+    assert run_cli("run", path, "--record-scores", rows) == 0
+    lines = rows.read_bytes().splitlines(keepends=True)
+    if shape_error_first:
+        row = json.loads(lines[1])
+        row["s_c"], row["f_r_cells"] = [], []  # the second mention meets one cell
+        lines[1] = (json.dumps(row) + "\n").encode()
+        lines[-1] = b"\xff\xfe\n"
+    else:
+        lines.append(b"\xff\xfe\n")
+    rows.write_bytes(b"".join(lines))
+    pred = tmp_path / "pred.jsonl"
+    code = run_cli("run", path, "--scorer", f"replay:{rows}", "--out", pred)
+    err = capsys.readouterr().err
+    if shape_error_first:
+        assert code == 4
+        assert "mention 1: row has 0 coref" in err
+    else:
+        assert code == 2
+        assert err == f"error: {rows}:{len(lines)}: not UTF-8: invalid start byte\n"
+    assert not pred.exists()
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -854,7 +880,9 @@ print(sorted(m.split(".")[1] for m in sys.modules if m.startswith("streamcoref."
       + sorted({_STDLIB_WATCHED!r} & set(sys.modules)))
 """
 
-_ALL_SUBMODULES = "commands types ingest engine scoring pipeline metrics analytics oracle synth"
+_ALL_SUBMODULES = (
+    "commands types ingest engine scoring pipeline metrics analytics oracle synth rowcodec"
+)
 
 
 @pytest.mark.parametrize(
@@ -868,23 +896,32 @@ _ALL_SUBMODULES = "commands types ingest engine scoring pipeline metrics analyti
         (("analyze", "{corpus}"), "analytics",
          "engine scoring pipeline metrics oracle"),
         (("run", "{corpus}", "--jobs", "1", "--out", "{tmp}/pred.jsonl"), "pipeline",
-         "metrics analytics oracle synth hashlib"),
+         "metrics analytics oracle synth hashlib rowcodec"),
         (("run", "{corpus}", "--jobs", "1", "--proposal-ratio", "0.3",
           "--out", "{tmp}/pred.jsonl"), "pipeline decimal",
-         "metrics analytics oracle synth hashlib"),
+         "metrics analytics oracle synth hashlib rowcodec"),
         (("run", "{corpus}", "--jobs", "1", "--manifest", "{tmp}/manifest.json"), "hashlib",
-         "metrics analytics oracle synth"),
+         "metrics analytics oracle synth rowcodec"),
+        (("run", "{corpus}", "--jobs", "1", "--record-scores", "{tmp}/rows.jsonl"),
+         "pipeline rowcodec", "metrics analytics oracle synth hashlib"),
+        (("run", "{corpus}", "--scorer", "replay:{rows}"), "pipeline rowcodec",
+         "metrics analytics oracle synth hashlib"),
         (("oracle", "{corpus}", "--policy", "lb", "--capacity", "3"), "oracle engine scoring",
-         "pipeline metrics analytics synth hashlib"),
+         "pipeline metrics analytics synth hashlib rowcodec"),
         (("synth", "--seed", "1", "--docs", "2", "--out", "{tmp}/synth.jsonl"), "synth",
          "engine scoring pipeline metrics analytics oracle"),
     ],
     ids=["version", "help", "usage-error", "score", "analyze", "run", "run-ratio",
-         "run-manifest", "oracle", "synth"],
+         "run-manifest", "run-record", "replay", "oracle", "synth"],
 )
 def test_subcommand_loads_only_its_modules(tmp_path, corpus, argv, loads, skips):
     _, path = corpus
-    argv = [a.replace("{corpus}", str(path)).replace("{tmp}", str(tmp_path)) for a in argv]
+    rows = tmp_path / "recorded.jsonl"
+    if any("{rows}" in a for a in argv):
+        assert run_cli("run", path, "--record-scores", rows) == 0
+    fill = {"{corpus}": str(path), "{tmp}": str(tmp_path), "{rows}": str(rows)}
+    for key, value in fill.items():
+        argv = [a.replace(key, value) for a in argv]
     loaded = set(ast.literal_eval(_heavy_modules_loaded(_MODULES_PROBE, *argv)))
     assert set(loads.split()) <= loaded
     assert loaded.isdisjoint(skips.split())

@@ -43,6 +43,8 @@ json_values = st.recursive(
 raw_lines = st.sampled_from(
     ["{not json", "", "   ", "[" * 5000, "1" * 5000, '{"s_m": 1.0', "﻿{}", "NaN"]
 ) | st.text(max_size=20).filter(lambda t: "\n" not in t and "\r" not in t)
+# Lines that are not UTF-8 text at all (most byte strings are not).
+raw_bytes = st.binary(max_size=12).filter(lambda b: b"\n" not in b and b"\r" not in b)
 
 
 def _json_line(value) -> str:
@@ -74,12 +76,18 @@ row_objects = st.fixed_dictionaries(
 
 @st.composite
 def replay_files(draw, recorded):
-    """A recorded replay file with some rows edited, dropped or added."""
+    """A recorded replay file with some rows edited, dropped or added.
+
+    Lines are str, or bytes written as they are.
+    """
     lines = list(recorded)
     for _ in range(draw(st.integers(0, 3))):
         edit = draw(st.sampled_from(["replace", "drop", "insert", "append"]))
         line = draw(
-            st.builds(_json_line, row_objects) | st.builds(_json_line, json_values) | raw_lines
+            st.builds(_json_line, row_objects)
+            | st.builds(_json_line, json_values)
+            | raw_lines
+            | raw_bytes
         )
         at = draw(st.integers(0, max(len(lines) - 1, 0)))
         if edit == "replace" and lines:
@@ -99,7 +107,9 @@ def test_replay_reader_fuzz(replay_case, capsys, data):
     root, corpus, recorded = replay_case
     lines = data.draw(replay_files(recorded))
     rows = root / "rows.jsonl"
-    rows.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    rows.write_bytes(
+        b"".join((line if isinstance(line, bytes) else line.encode()) + b"\n" for line in lines)
+    )
     pred, trace = root / "pred.jsonl", root / "trace.jsonl"
     code = main(["run", str(corpus), "--policy", "lb", "--capacity", "2",
                  "--scorer", f"replay:{rows}", "--out", str(pred), "--trace", str(trace)])

@@ -282,6 +282,42 @@ def test_load_score_rows_keeps_infinities(tmp_path):
     assert load_score_rows(path) == [ScoreRow(inf, (-inf,), (inf,), 0.0)]
 
 
+@pytest.mark.parametrize(
+    "bad, reason",
+    [
+        (b"\xff\xfe", "invalid start byte"),
+        (
+            b'{"s_m": 1.0\xe9, "s_c": [], "f_r_cells": [], "f_r_mention": 1.0}',
+            "invalid continuation byte",
+        ),
+        (  # the byte is in a key that the row's keys hide
+            b'{"s_m": 1.0, "s_c": [1.0], "\xff": [], "f_r_cells": [], "f_r_mention": 1.0}',
+            "invalid start byte",
+        ),
+    ],
+)
+def test_replay_file_not_utf8_names_the_line(tmp_path, bad, reason):
+    path = tmp_path / "rows.jsonl"
+    good = json.dumps(ScoreRow(1.0, (), (), 1.0).to_obj()).encode()
+    path.write_bytes(good + b"\n" + good + b"\n" + bad + b"\n" + good + b"\n")
+    rows = iter_score_rows(path)
+    assert next(rows) == next(rows) == ScoreRow(1.0, (), (), 1.0)  # served before the fault
+    with pytest.raises(ParseError) as err:
+        next(rows)
+    assert err.value.line == 3
+    assert str(err.value) == f"{path}:3: not UTF-8: {reason}"
+
+
+def test_replay_file_non_ascii_utf8_is_parsed_as_json(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text(
+        '{"s_m": 1.0, "s_c": [], "f_r_cells": [], "f_r_mention": "\u00e9"}\n', encoding="utf-8"
+    )
+    with pytest.raises(ParseError) as err:
+        load_score_rows(path)
+    assert "expected a number, got str" in str(err.value)
+
+
 def test_replay_row_must_match_memory_exactly():
     rows = [ScoreRow(1.0, (0.5,), (2.0,), 1.0), ScoreRow(1.0, (0.5,), (), 1.0)]
     provider = ReplayScoreProvider(rows)
@@ -316,7 +352,7 @@ def test_recording_rows_have_per_step_shapes(tmp_path):
     mentions, _ = order_mentions(doc.gold_mentions())
     recorder = RecordingScoreProvider(gold_scorer(doc))
     result = run_document(doc, mentions, recorder, PolicyConfig(MemoryPolicy.UNBOUNDED))
-    recorder.save(tmp_path / "rows.jsonl")
+    dump_score_rows(recorder.rows, tmp_path / "rows.jsonl")
 
     rows = load_score_rows(tmp_path / "rows.jsonl")
     assert len(rows) == len(mentions)
