@@ -16,7 +16,6 @@ _EXPORTS = {
     "analytics": (
         "CorpusStats",
         "EmptyClusterError",
-        "LengthMismatchError",
         "SpreadRecord",
         "active_entity_count",
         "corpus_max_active",
@@ -25,7 +24,6 @@ _EXPORTS = {
         "histogram_rows",
         "max_active_entities",
         "per_document_stats",
-        "spearman",
         "spread_histogram",
         "spread_records",
     ),
@@ -60,7 +58,6 @@ _EXPORTS = {
         "ceaf_phi4",
         "ceaf_phi4_counts",
         "conll_f1",
-        "evaluate_documents",
         "filter_singletons",
         "muc",
         "muc_counts",

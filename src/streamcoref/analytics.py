@@ -1,4 +1,4 @@
-"""Corpus statistics: entity spread, active-entity counts, rank correlation.
+"""Corpus statistics: entity spread and active-entity counts.
 
 An entity is active at token t when t falls inside its spread, the closed
 interval from its first mention's start to its last mention's end. The
@@ -9,7 +9,6 @@ statistics sit next to the engine.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, NamedTuple, Sequence
 
 from .types import Document, GoldCluster, MentionSpan
@@ -17,10 +16,6 @@ from .types import Document, GoldCluster, MentionSpan
 
 class EmptyClusterError(ValueError):
     """Spread is undefined for a cluster with no mentions."""
-
-
-class LengthMismatchError(ValueError):
-    """Paired sequences of different lengths."""
 
 
 class SpreadRecord(NamedTuple):
@@ -170,42 +165,3 @@ class CorpusStats:
         )
         _count_spreads(self.histogram, doc, self.exclude_singletons)
         return row
-
-
-def _average_ranks(values: Sequence[float]) -> list[float]:
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = (i + j) / 2 + 1  # ranks are 1-based
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        i = j + 1
-    return ranks
-
-
-def spearman(xs: Sequence[float], ys: Sequence[float]) -> float | None:
-    """Spearman rank correlation with average ranks for ties.
-
-    Returns None when either input is constant: correlation is undefined
-    there and a marker beats a misleading number. Raises
-    LengthMismatchError when the inputs cannot be paired.
-    """
-    if len(xs) != len(ys):
-        raise LengthMismatchError(f"paired lists of lengths {len(xs)} and {len(ys)}")
-    if len(xs) < 2:
-        raise LengthMismatchError("need at least two pairs")
-    rx = _average_ranks(xs)
-    ry = _average_ranks(ys)
-    n = len(rx)
-    mx = sum(rx) / n
-    my = sum(ry) / n
-    cov = sum((a - mx) * (b - my) for a, b in zip(rx, ry))
-    vx = sum((a - mx) ** 2 for a in rx)
-    vy = sum((b - my) ** 2 for b in ry)
-    if vx == 0.0 or vy == 0.0:
-        return None
-    return cov / math.sqrt(vx * vy)

@@ -168,15 +168,17 @@ def cmd_run(args) -> None:
         record=args.record_scores is not None,
         manifest=bool(args.manifest),
     )
+    # With --manifest, each input file's (path, sha256) once it is read:
+    # the corpus files in order, then the replay file.
+    digests: list[tuple[str, str]] | None = [] if args.manifest else None
     # Replay rows are positional across the corpus, so replay runs in this
     # process whatever --jobs says.
-    replay = ReplayScoreProvider.from_file(scorer_arg) if scorer_kind == "replay" else None
+    replay = ReplayScoreProvider.from_file(scorer_arg, digests) if scorer_kind == "replay" else None
     corpus_bytes = sum(os.path.getsize(p) for p in args.inputs)
     workers = 1 if replay else worker_count(jobs, corpus_bytes)
 
     docs = steps = peak = ignored_cap = ignored_inv = evictions = 0
     entity_steps = 0.0
-    digests: list[tuple[str, str]] = []
     targets = {
         "out": args.out,
         "trace": args.trace,
@@ -202,7 +204,7 @@ def cmd_run(args) -> None:
                     "inputs": [str(p) for p in args.inputs],
                 },
             )
-        chunks = read_chunks(args.inputs, args.format, digests if manifest else None)
+        chunks = read_chunks(args.inputs, args.format, digests)
         with closing(ordered_outputs(spec, chunks, workers, replay)) as outputs:
             for o in outputs:
                 docs += 1

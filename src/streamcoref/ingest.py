@@ -13,11 +13,13 @@ the schema. parse -> serialize -> parse is the identity on documents that
 came from JSON lines (gold entity ids are positional there).
 
 Both parsers check every document invariant (validate_document) and raise
-ParseError naming the file and line. read_chunks is the one reader of
-corpus files: it streams them in input order as chunks of raw JSON lines
-(parsed later, possibly in a worker process, by chunk_documents) or parsed
-column-format documents, and can hash each file's bytes as they pass.
-iter_documents yields the parsed documents of those chunks one at a time.
+ParseError naming the file and line. file_lines is the one line reader of
+every input file, corpus or replay: a line ends at "\n", a line that is
+not UTF-8 raises ParseError, and it can hash the file's bytes as they
+pass. read_chunks streams corpus files through it in input order as
+chunks of raw JSON lines (parsed later, possibly in a worker process, by
+chunk_documents) or parsed column-format documents. iter_documents yields
+the parsed documents of those chunks one at a time.
 """
 
 from __future__ import annotations
@@ -385,11 +387,12 @@ class SourceLine(NamedTuple):
     text: str
 
 
-def _file_lines(path: str, digests: list | None) -> Iterator[tuple[int, int, str]]:
+def file_lines(path: str, digests: list | None) -> Iterator[tuple[int, int, str]]:
     """(line number, byte count, text) per line; a line ends at "\\n".
 
-    With digests given, appends (path, sha256 of the file's bytes) once
-    the whole file has been read.
+    A line that is not UTF-8 raises ParseError with the file and line once
+    the lines before it have been yielded. With digests given, appends
+    (path, sha256 of the file's bytes) once the whole file has been read.
     """
     hasher = None
     if digests is not None:
@@ -410,7 +413,7 @@ def _file_lines(path: str, digests: list | None) -> Iterator[tuple[int, int, str
 
 
 def _jsonl_items(path: str, digests: list | None) -> Iterator[tuple[int, SourceLine]]:
-    for line_no, size, text in _file_lines(path, digests):
+    for line_no, size, text in file_lines(path, digests):
         if text.strip():
             yield size, SourceLine(path, line_no, text)
 
@@ -420,7 +423,7 @@ def _conll_items(path: str, digests: list | None) -> Iterator[tuple[int, Documen
 
     def lines():
         nonlocal read
-        for line_no, size, text in _file_lines(path, digests):
+        for line_no, size, text in file_lines(path, digests):
             read += size
             yield line_no, text
 

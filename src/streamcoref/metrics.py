@@ -219,13 +219,3 @@ class CountAccumulator:
     def report(self) -> ScoreReport:
         prfs = [PRF.from_counts(tuple(sums)) for sums in self._sums]
         return build_report(*prfs)
-
-
-def evaluate_documents(
-    pairs: Iterable[tuple[Iterable[Iterable[Hashable]], Iterable[Iterable[Hashable]]]],
-    drop_singletons: bool = False,
-) -> ScoreReport:
-    acc = CountAccumulator()
-    for gold, pred in pairs:
-        acc.add(gold, pred, drop_singletons)
-    return acc.report()

@@ -99,9 +99,9 @@ def _pieces(line: str) -> tuple[str, str, str, str] | None:
     s_c, _, rest = rest.partition(_F_R_CELLS)
     f_r_cells, _, rest = rest.partition(_F_R_MENTION)
     # A piece missing empties everything after it, so the "}" is found
-    # only when all four are.
+    # only when all four are. A "\r\n" ending is JSON whitespace, as "\n" is.
     f_r_mention, end, tail = rest.partition("}")
-    if not end or (tail and tail != "\n"):
+    if not end or tail not in ("", "\n", "\r\n"):
         return None
     return s_m, s_c, f_r_cells, f_r_mention
 

@@ -32,12 +32,14 @@ cell the action created, joined or replaced), end_document once. One
 provider serves one engine run at a time.
 
 Replay files are outside input and are checked as they are read, one row
-per mention: a line that is not UTF-8 or not JSON, a row missing a key,
-and a score that is not a JSON number or is NaN raise ParseError with the
-file and line; a row whose per-cell lists do not have one value per cell
-in memory, a run with more mentions than rows, and rows left over after
-the run raise ScoreShapeMismatch. Errors therefore surface in row order,
-and rows left over are parsed before they are counted.
+per mention. They are read by ingest.file_lines, the line reader of every
+input file, so a line ends at "\n" alone and a lone "\r" stays inside its
+line. A line that is not UTF-8 or not JSON, a row missing a key, and a
+score that is not a JSON number or is NaN raise ParseError with the file
+and line; a row whose per-cell lists do not have one value per cell in
+memory, a run with more mentions than rows, and rows left over after the
+run raise ScoreShapeMismatch. Errors therefore surface in row order, and
+rows left over are parsed before they are counted.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .ingest import ParseError, json_line
+from .ingest import ParseError, file_lines, json_line
 # ScoreShapeMismatch lives in types so that the CLI can catch it without
 # importing this module.
 from .types import Action, ActionKind, Document, MentionSpan, Record, ScoreShapeMismatch
@@ -360,42 +362,31 @@ def string_match_scorer(config: StringMatchConfig | None = None) -> StringMatchS
     return StringMatchScoreProvider(config)
 
 
-def iter_score_rows(path: str | Path) -> Iterator[ScoreRow]:
+def iter_score_rows(path: str | Path, digests: list | None = None) -> Iterator[ScoreRow]:
     """The rows of a replay file, each read and parsed when asked for.
 
     A line that is not a well-formed row raises ParseError with the file
     and line once the reader reaches it. A line in the layout that
     dump_score_rows writes, with numbers the process has read before, is
     decoded directly (see rowcodec); any other goes through the JSON
-    parser.
+    parser. With digests given, (path, sha256 hex) of the file is
+    appended to it once the last row has been read.
     """
     from .rowcodec import decode_row, remember
 
     path = str(path)
-    # Undecodable bytes become lone surrogates, so that they fail on their
-    # own line, after the rows before them have been served.
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            row = decode_row(line)
-            if row is None:
-                if not line.isascii():
-                    _check_utf8(line, path, line_no)
-                if not line.strip():
-                    continue
-                obj = json_line(line, path=path, line_no=line_no)
-                try:
-                    row = ScoreRow.from_obj(obj)
-                except ValueError as e:
-                    raise ParseError(str(e), path=path, line=line_no) from None
-                remember(line, row)
-            yield row
-
-
-def _check_utf8(line: str, path: str, line_no: int) -> None:
-    try:
-        line.encode("utf-8", "surrogateescape").decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise ParseError(f"not UTF-8: {e.reason}", path=path, line=line_no) from None
+    for line_no, _, line in file_lines(path, digests):
+        row = decode_row(line)
+        if row is None:
+            if not line.strip():
+                continue
+            obj = json_line(line, path=path, line_no=line_no)
+            try:
+                row = ScoreRow.from_obj(obj)
+            except ValueError as e:
+                raise ParseError(str(e), path=path, line=line_no) from None
+            remember(line, row)
+        yield row
 
 
 def load_score_rows(path: str | Path) -> list[ScoreRow]:
@@ -419,7 +410,7 @@ class ReplayScoreProvider(ScoreProvider):
     iterable at each mention_begin and keeps only that row, so replaying
     from a file (from_file) holds one row whatever the file's length.
     step_scores returns the row itself once its per-cell lists match the
-    cells in memory exactly; any query outside the recorded shape raises
+    cells in memory exactly; a row of another shape raises
     ScoreShapeMismatch with the offending mention's index, and
     check_exhausted does so for rows left over.
     """
@@ -430,8 +421,9 @@ class ReplayScoreProvider(ScoreProvider):
         self._current: ScoreRow | None = None
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "ReplayScoreProvider":
-        return cls(iter_score_rows(path))
+    def from_file(cls, path: str | Path, digests: list | None = None) -> "ReplayScoreProvider":
+        """Replay the rows of a file; digests as in iter_score_rows."""
+        return cls(iter_score_rows(path, digests))
 
     def check_exhausted(self) -> None:
         """Raise ScoreShapeMismatch unless every row has been served.
@@ -446,11 +438,6 @@ class ReplayScoreProvider(ScoreProvider):
                 used, f"file holds {used + left} rows but the run used {used}"
             )
 
-    def _row(self) -> ScoreRow:
-        if self._current is None:
-            raise ScoreShapeMismatch(0, "score queried before any mention began")
-        return self._current
-
     def mention_begin(self, index: int, mention: MentionSpan) -> None:
         self._cursor += 1
         self._current = next(self._rows, None)
@@ -460,7 +447,9 @@ class ReplayScoreProvider(ScoreProvider):
     def step_scores(
         self, doc: Document, mention: MentionSpan, cells: Sequence[EntityCell]
     ) -> ScoreRow:
-        row = self._row()
+        row = self._current
+        if row is None:
+            raise ScoreShapeMismatch(0, "score queried before any mention began")
         if len(row.s_c) != len(cells) or len(row.f_r_cells) != len(cells):
             raise ScoreShapeMismatch(
                 self._cursor,
@@ -468,29 +457,6 @@ class ReplayScoreProvider(ScoreProvider):
                 f"scores for {len(cells)} cells in memory",
             )
         return row
-
-    def mention_score(self, doc: Document, mention: MentionSpan) -> float:
-        return self._row().s_m
-
-    def coref_score(self, doc: Document, mention: MentionSpan, cell: EntityCell) -> float:
-        row = self._row()
-        if cell.slot >= len(row.s_c):
-            raise ScoreShapeMismatch(
-                self._cursor,
-                f"coref score for cell {cell.slot} but row has {len(row.s_c)}",
-            )
-        return row.s_c[cell.slot]
-
-    def remaining_score(self, doc: Document, item: MentionSpan | EntityCell) -> float:
-        row = self._row()
-        if isinstance(item, EntityCell):
-            if item.slot >= len(row.f_r_cells):
-                raise ScoreShapeMismatch(
-                    self._cursor,
-                    f"remaining score for cell {item.slot} but row has {len(row.f_r_cells)}",
-                )
-            return row.f_r_cells[item.slot]
-        return row.f_r_mention
 
 
 class RecordingScoreProvider(ScoreProvider):

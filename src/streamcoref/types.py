@@ -176,9 +176,6 @@ class Document(FrozenRecord):
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def span_text(self, span: MentionSpan) -> str:
-        return " ".join(self.tokens[span.start : span.end + 1])
-
     def gold_mentions(self) -> list[MentionSpan]:
         return [m for c in self.gold_clusters for m in c.mentions]
 

@@ -265,10 +265,11 @@ def reference_score_rows(path):
     """The rows of a replay file, each line through the generic JSON path.
 
     Text mode, json_line and ScoreRow.from_obj per non-blank line, raising
-    ParseError with the file and line: the reader before the row codec.
+    ParseError with the file and line: the reader before the row codec. A
+    line ends at "\n" alone, as in ingest.file_lines.
     """
     path = str(path)
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="\n") as fh:
         for line_no, line in enumerate(fh, start=1):
             if line.strip():
                 obj = json_line(line, path=path, line_no=line_no)
@@ -302,35 +303,6 @@ def per_token_max_active(doc: Document, exclude_singletons: bool = False) -> int
                 live += 1
         best = max(best, live)
     return best
-
-
-def rank_then_pearson(xs: list[float], ys: list[float]) -> float | None:
-    """Independent rank correlation: explicit tie-averaged ranks + Pearson."""
-
-    def ranks(vals: list[float]) -> list[float]:
-        order = sorted(range(len(vals)), key=lambda i: vals[i])
-        out = [0.0] * len(vals)
-        i = 0
-        while i < len(order):
-            j = i
-            while j + 1 < len(order) and vals[order[j + 1]] == vals[order[i]]:
-                j += 1
-            mean_rank = (i + j) / 2 + 1
-            for k in range(i, j + 1):
-                out[order[k]] = mean_rank
-            i = j + 1
-        return out
-
-    rx, ry = ranks(xs), ranks(ys)
-    n = len(rx)
-    mx = sum(rx) / n
-    my = sum(ry) / n
-    sxx = sum((a - mx) ** 2 for a in rx)
-    syy = sum((b - my) ** 2 for b in ry)
-    if sxx == 0 or syy == 0:
-        return None
-    sxy = sum((a - mx) * (b - my) for a, b in zip(rx, ry))
-    return sxy / (sxx * syy) ** 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,18 @@
-"""Spread, active-entity counts, histograms, rank correlation."""
+"""Spread, active-entity counts, histograms."""
 
 import random
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from conftest import per_token_max_active, rank_then_pearson
+from conftest import per_token_max_active
 from streamcoref import (
     Document,
     EmptyClusterError,
     GoldCluster,
-    LengthMismatchError,
     MentionSpan,
     active_entity_count,
     entity_spread,
     max_active_entities,
-    spearman,
     spread_histogram,
     spread_records,
     synthesize_corpus,
@@ -173,61 +169,3 @@ def test_corpus_stats_fold_matches_the_list_functions(exclude_singletons):
     assert stats.max_active_no_singletons == corpus_max_active(docs, exclude_singletons=True)
     with pytest.raises(ValueError):
         CorpusStats(0)
-
-
-def test_spearman_perfect_orders():
-    assert spearman([1, 2, 3, 4], [10, 20, 30, 40]) == pytest.approx(1.0)
-    assert spearman([1, 2, 3, 4], [8, 6, 4, 2]) == pytest.approx(-1.0)
-    # monotone but non-linear is still a perfect rank match
-    assert spearman([1, 2, 3, 4], [1, 10, 100, 1000]) == pytest.approx(1.0)
-
-
-def test_spearman_known_tied_value():
-    # ranks x: [1, 2.5, 2.5, 4]; ranks y: [2, 1, 3, 4]
-    # cov 3.0, variances 4.5 and 5.0 -> r = 3 / sqrt(22.5)
-    xs = [3.0, 5.0, 5.0, 9.0]
-    ys = [1.0, 0.0, 2.0, 3.0]
-    assert spearman(xs, ys) == pytest.approx(3 / 22.5**0.5, abs=1e-12)
-    assert spearman(xs, ys) == pytest.approx(0.6324555320336759, abs=1e-12)
-
-
-def test_spearman_constant_input_is_none():
-    assert spearman([1.0, 1.0, 1.0], [1, 2, 3]) is None
-    assert spearman([1, 2, 3], [7.0, 7.0, 7.0]) is None
-
-
-def test_spearman_rejects_bad_pairings():
-    with pytest.raises(LengthMismatchError):
-        spearman([1, 2, 3], [1, 2])
-    with pytest.raises(LengthMismatchError):
-        spearman([1], [1])
-
-
-@given(
-    st.lists(st.integers(-50, 50), min_size=2, max_size=60),
-    st.randoms(use_true_random=False),
-)
-def test_spearman_matches_independent_oracle(xs, rng):
-    ys = [rng.randint(-50, 50) for _ in xs]
-    expected = rank_then_pearson([float(v) for v in xs], [float(v) for v in ys])
-    got = spearman(xs, ys)
-    if expected is None:
-        assert got is None
-    else:
-        assert got == pytest.approx(expected, abs=1e-12)
-        assert -1.0 - 1e-12 <= got <= 1.0 + 1e-12
-
-
-def test_spearman_agrees_with_scipy_when_available():
-    scipy_stats = pytest.importorskip("scipy.stats")
-    rng = random.Random(17)
-    for _ in range(50):
-        n = rng.randint(3, 40)
-        xs = [rng.randint(0, 10) for _ in range(n)]
-        ys = [rng.randint(0, 10) for _ in range(n)]
-        got = spearman(xs, ys)
-        if len(set(xs)) == 1 or len(set(ys)) == 1:
-            assert got is None
-            continue
-        want = scipy_stats.spearmanr(xs, ys).statistic
-        assert got == pytest.approx(want, abs=1e-12)

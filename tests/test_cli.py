@@ -369,9 +369,9 @@ def test_manifest_records_input_digests(tmp_path, corpus):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("\n")
 
-    def manifest_of(*inputs):
+    def manifest_of(*inputs, options=()):
         manifest = tmp_path / "manifest.json"
-        assert run_cli("run", *inputs, "--manifest", manifest) == 0
+        assert run_cli("run", *inputs, *options, "--manifest", manifest) == 0
         text = manifest.read_text()
         obj = json.loads(text)
         assert text == json.dumps(obj, indent=2, sort_keys=True) + "\n"
@@ -387,6 +387,13 @@ def test_manifest_records_input_digests(tmp_path, corpus):
     after = manifest_of(path, empty)["input_digests"]
     assert after[0]["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
     assert after[0] != before[0] and after[1] == before[1]
+    # A replay file is an input too: its entry follows the corpus files'.
+    rows = tmp_path / "rows.jsonl"
+    assert run_cli("run", path, empty, "--record-scores", rows) == 0
+    replayed = manifest_of(path, empty, options=("--scorer", f"replay:{rows}"))
+    assert replayed["input_digests"] == after + [
+        {"path": str(rows), "sha256": hashlib.sha256(rows.read_bytes()).hexdigest()}
+    ]
 
 
 def test_manifest_text_escapes_doc_ids(tmp_path, corpus):
@@ -540,8 +547,11 @@ def test_replay_file_not_utf8_exit_2(tmp_path, corpus, capsys, shape_error_first
         lambda line: "{not json",
         lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "s_c"}),
         lambda line: line.replace('"s_m": Infinity', '"s_m": NaN'),
+        # A lone "\r" ends no line: the two rows it joins are one line of
+        # invalid JSON, as in a corpus file.
+        lambda line: line + "\r" + line,
     ],
-    ids=["not-json", "missing-key", "nan-s_m"],
+    ids=["not-json", "missing-key", "nan-s_m", "lone-cr"],
 )
 def test_malformed_replay_file_exit_2(tmp_path, corpus, capsys, edit):
     _, path = corpus
@@ -947,7 +957,7 @@ def test_policy_choices_are_the_memory_policies():
 PUBLIC_NAMES = """
 Action ActionKind ClusteringResult ConfigError CorpusStats CountAccumulator
 Document EmptyClusterError EntityCell GoldCluster GoldScoreProvider
-LengthMismatchError MalformedColumnError MemoryPolicy MemoryState MentionSpan
+MalformedColumnError MemoryPolicy MemoryState MentionSpan
 OracleStep PRF ParseError PolicyConfig RecordingScoreProvider
 ReplayScoreProvider RunStats SchemaError ScoreProvider ScoreReport ScoreRow
 ScoreShapeMismatch SingletonMode SpreadRecord StringMatchConfig
@@ -955,11 +965,11 @@ StringMatchScoreProvider UnbalancedBracketError active_entity_count analytics
 b_cubed b_cubed_counts benchmark_document ceaf_phi4 ceaf_phi4_counts
 clusters_from_actions conll_f1 corpus_max_active corpus_max_total decide
 dump_score_rows engine entity_spread
-evaluate_documents filter_singletons gold_scorer histogram_rows ingest
+filter_singletons gold_scorer histogram_rows ingest
 iter_documents iter_score_rows load_conll load_jsonl load_score_rows
 max_active_entities metrics muc muc_counts oracle oracle_trace
 oracle_trackable_fraction order_mentions parse_conll parse_jsonl
-per_document_stats propose_top_spans read_corpus run_document scoring spearman
+per_document_stats propose_top_spans read_corpus run_document scoring
 spread_histogram spread_records string_match_scorer synth synthesize_corpus
 synthesize_document types validate_document write_jsonl
 """.split()

@@ -20,7 +20,6 @@ from streamcoref import (
     b_cubed,
     ceaf_phi4,
     conll_f1,
-    evaluate_documents,
     filter_singletons,
     muc,
 )
@@ -185,7 +184,10 @@ def test_corpus_accumulation_pools_counts_not_scores():
     # counts is not the same as averaging the two per-document F1s
     doc_a = ([["a", "b"]], [["a", "b"]])
     doc_b = ([["c", "d", "e"]], [["c", "d"], ["e"]])
-    report = evaluate_documents([doc_a, doc_b])
+    acc = CountAccumulator()
+    for gold, pred in (doc_a, doc_b):
+        acc.add(gold, pred)
+    report = acc.report()
     # links: recall 2/3, precision 2/2
     assert report.muc.recall == pytest.approx(2 / 3, abs=1e-12)
     assert report.muc.precision == pytest.approx(1.0, abs=1e-12)
@@ -208,8 +210,10 @@ def test_singleton_dropping_changes_the_picture():
     # non-event once they are dropped
     gold = [["a", "b"], ["c"]]
     pred = [["a", "b"]]
-    keep = evaluate_documents([(gold, pred)])
-    drop = evaluate_documents([(gold, pred)], drop_singletons=True)
+    keep, drop = CountAccumulator(), CountAccumulator()
+    keep.add(gold, pred)
+    drop.add(gold, pred, drop_singletons=True)
+    keep, drop = keep.report(), drop.report()
     assert keep.b_cubed.f1 == pytest.approx(4 / 5, abs=1e-12)
     assert keep.ceaf_phi4.f1 == pytest.approx(2 / 3, abs=1e-12)
     assert drop.b_cubed.f1 == 1.0

@@ -39,12 +39,13 @@ json_values = st.recursive(
 )
 
 # Lines no JSON value encodes: broken syntax, deep nesting, a 5000-digit
-# integer (which json.loads rejects with a plain ValueError).
+# integer (which json.loads rejects with a plain ValueError), a lone "\r"
+# (which ends no line, so the lines after it keep their numbers).
 raw_lines = st.sampled_from(
-    ["{not json", "", "   ", "[" * 5000, "1" * 5000, '{"s_m": 1.0', "﻿{}", "NaN"]
-) | st.text(max_size=20).filter(lambda t: "\n" not in t and "\r" not in t)
+    ["{not json", "", "   ", "[" * 5000, "1" * 5000, '{"s_m": 1.0', "﻿{}", "NaN", " \r "]
+) | st.text(max_size=20).filter(lambda t: "\n" not in t)
 # Lines that are not UTF-8 text at all (most byte strings are not).
-raw_bytes = st.binary(max_size=12).filter(lambda b: b"\n" not in b and b"\r" not in b)
+raw_bytes = st.binary(max_size=12).filter(lambda b: b"\n" not in b)
 
 
 def _json_line(value) -> str:
@@ -124,6 +125,13 @@ def test_replay_reader_fuzz(replay_case, capsys, data):
     else:
         assert err.startswith("error: ")
         assert outputs == []  # no output and no temporary file
+    if code == 2:
+        # Lines are counted at "\n" alone, as the corpus reader counts
+        # them, so the line named is one of the edited ones: a recorded
+        # row is well formed.
+        m = re.match(rf"error: {re.escape(str(rows))}:(\d+): ", err)
+        assert m is not None, err
+        assert lines[int(m.group(1)) - 1] not in recorded
 
 
 # JSON values that float() would take for a score, or that are no score.

@@ -160,13 +160,15 @@ def test_recorded_lines_take_the_direct_path(rows_path, forget_numbers):
     dump_score_rows(rows, rows_path)
     assert [repr(r) for r in load_score_rows(rows_path)] == [repr(r) for r in rows]
     # The read cached every number, so the same lines now decode from the
-    # cache alone, the last line of a file (no newline) too.
+    # cache alone, with a "\r\n" ending or, as the last line of a file,
+    # none.
     for row in rows:
         for value in (row.s_m, *row.s_c, *row.f_r_cells, row.f_r_mention):
             assert repr(rowcodec._FLOATS[json.dumps(value)]) == repr(value)
         line = encode_row(row)
         assert repr(decode_row(line)) == repr(row)
         assert repr(decode_row(line.rstrip("\n"))) == repr(row)
+        assert repr(decode_row(line.replace("\n", "\r\n"))) == repr(row)
 
 
 def test_codec_caches_what_the_generic_path_read(rows_path, forget_numbers):

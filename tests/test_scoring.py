@@ -184,17 +184,16 @@ def test_replay_serves_rows_in_order():
     ]
     provider = ReplayScoreProvider(rows)
     provider.mention_begin(0, MentionSpan(0, 0))
-    assert provider.mention_score(SM_DOC, MentionSpan(0, 0)) == 1.0
-    assert provider.remaining_score(SM_DOC, MentionSpan(0, 0)) == 5.0
+    assert provider.step_scores(SM_DOC, MentionSpan(0, 0), []) is rows[0]
     provider.mention_begin(1, MentionSpan(1, 1))
-    assert provider.coref_score(SM_DOC, MentionSpan(1, 1), cell(slot=0)) == 0.75
-    assert provider.remaining_score(SM_DOC, cell(slot=0)) == 4.0
+    assert provider.step_scores(SM_DOC, MentionSpan(1, 1), [cell(slot=0)]) is rows[1]
 
 
 def test_replay_query_before_begin_fails():
     provider = ReplayScoreProvider([ScoreRow(1.0, (), (), 1.0)])
-    with pytest.raises(ScoreShapeMismatch):
-        provider.mention_score(SM_DOC, MentionSpan(0, 0))
+    with pytest.raises(ScoreShapeMismatch) as err:
+        provider.step_scores(SM_DOC, MentionSpan(0, 0), [])
+    assert "before any mention began" in str(err.value)
 
 
 def test_replay_row_exhaustion_names_the_mention():
@@ -204,15 +203,6 @@ def test_replay_row_exhaustion_names_the_mention():
         provider.mention_begin(1, MentionSpan(1, 1))
     assert err.value.mention_index == 1
     assert "1 rows" in str(err.value)
-
-
-def test_replay_slot_overflow_fails():
-    provider = ReplayScoreProvider([ScoreRow(1.0, (0.5,), (2.0,), 1.0)])
-    provider.mention_begin(0, MentionSpan(0, 0))
-    with pytest.raises(ScoreShapeMismatch):
-        provider.coref_score(SM_DOC, MentionSpan(0, 0), cell(slot=1))
-    with pytest.raises(ScoreShapeMismatch):
-        provider.remaining_score(SM_DOC, cell(slot=3))
 
 
 @pytest.mark.parametrize(

@@ -87,7 +87,6 @@ def test_span_pickles():
 def test_document_helpers():
     doc = make_doc()
     assert len(doc) == 10
-    assert doc.span_text(MentionSpan(6, 8)) == "g h i"
     assert doc.gold_mentions() == [MentionSpan(0, 1), MentionSpan(3, 3), MentionSpan(6, 8)]
     assert doc.entity_by_span[MentionSpan(3, 3)] == 0
     assert MentionSpan(4, 4) not in doc.entity_by_span
