@@ -2,9 +2,13 @@
 
 An entity is active at token t when t falls inside its spread, the closed
 interval from its first mention's start to its last mention's end. The
-peak number of simultaneously active entities bounds how many memory slots
-an incremental clusterer needs for the document, which is why these
-statistics sit next to the engine.
+peak number of simultaneously active entities (MAE) is an upper bound on
+how many memory slots an incremental clusterer needs to lose nothing of
+the document, which is why these statistics sit next to the engine. It can
+exceed that capacity, never fall below it: activity is counted by tokens,
+so an entity stays active across the tokens of its last mention, and the
+mentions nested inside that mention count it although it needs no slot
+any more.
 """
 
 from __future__ import annotations
@@ -37,19 +41,16 @@ def entity_spread(cluster: GoldCluster) -> MentionSpan:
     )
 
 
-def _spreads(doc: Document, exclude_singletons: bool = False) -> list[MentionSpan]:
-    return [
-        entity_spread(c)
-        for c in doc.gold_clusters
-        if not (exclude_singletons and len(c.mentions) == 1)
-    ]
+def _spread_counts(doc: Document) -> list[tuple[MentionSpan, int]]:
+    """(spread, mention count) of each entity, in cluster order."""
+    return [(entity_spread(c), len(c.mentions)) for c in doc.gold_clusters]
 
 
 def active_entity_count(doc: Document, t: int) -> int:
     """Number of entities whose spread covers token t."""
     if not 0 <= t < len(doc):
         raise IndexError(f"token index {t} outside document of length {len(doc)}")
-    return sum(1 for s in _spreads(doc) if s.covers(t))
+    return sum(1 for c in doc.gold_clusters if entity_spread(c).covers(t))
 
 
 def max_active_entities(doc: Document, exclude_singletons: bool = False) -> int:
@@ -58,8 +59,13 @@ def max_active_entities(doc: Document, exclude_singletons: bool = False) -> int:
     Runs as an endpoint sweep in O(M log M) for M entities; the document
     length never enters, so very long documents cost the same as short ones.
     """
+    spreads = _spread_counts(doc)
+    return _peak_overlap(s for s, n in spreads if not (exclude_singletons and n == 1))
+
+
+def _peak_overlap(spreads: Iterable[MentionSpan]) -> int:
     deltas: dict[int, int] = {}
-    for s in _spreads(doc, exclude_singletons):
+    for s in spreads:
         deltas[s.start] = deltas.get(s.start, 0) + 1
         deltas[s.end + 1] = deltas.get(s.end + 1, 0) - 1
     best = 0
@@ -97,13 +103,16 @@ def spread_records(doc: Document) -> list[SpreadRecord]:
     return out
 
 
-def _count_spreads(counts: list[int], doc: Document, exclude_singletons: bool) -> None:
+def _count_spreads(
+    counts: list[int], spreads: list[tuple[MentionSpan, int]], tokens: int,
+    exclude_singletons: bool,
+) -> None:
     buckets = len(counts)
-    for rec in spread_records(doc):
-        if exclude_singletons and rec.mention_count == 1:
+    for s, mentions in spreads:
+        if exclude_singletons and mentions == 1:
             continue
-        idx = min(int(rec.spread_fraction * buckets), buckets - 1)
-        counts[idx] += 1
+        fraction = s.length / tokens  # SpreadRecord.spread_fraction
+        counts[min(int(fraction * buckets), buckets - 1)] += 1
 
 
 def spread_histogram(
@@ -118,7 +127,7 @@ def spread_histogram(
         raise ValueError("need at least one bucket")
     counts = [0] * buckets
     for doc in docs:
-        _count_spreads(counts, doc, exclude_singletons)
+        _count_spreads(counts, _spread_counts(doc), len(doc), exclude_singletons)
     return counts
 
 
@@ -156,12 +165,14 @@ class CorpusStats:
         self.max_active_no_singletons = 0
 
     def add(self, doc: Document) -> tuple[str, int, int, int]:
-        row = document_stats(doc)
+        # Each entity's spread is computed once and feeds all three figures.
+        spreads = _spread_counts(doc)
+        row = (doc.doc_id, _peak_overlap(s for s, _ in spreads), len(spreads), len(doc))
         self.documents += 1
         self.max_active = max(self.max_active, row[1])
         self.max_total = max(self.max_total, row[2])
         self.max_active_no_singletons = max(
-            self.max_active_no_singletons, max_active_entities(doc, exclude_singletons=True)
+            self.max_active_no_singletons, _peak_overlap(s for s, n in spreads if n != 1)
         )
-        _count_spreads(self.histogram, doc, self.exclude_singletons)
+        _count_spreads(self.histogram, spreads, len(doc), self.exclude_singletons)
         return row

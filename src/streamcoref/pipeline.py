@@ -125,11 +125,7 @@ def run_one(spec: RunSpec, doc: Document, provider: ScoreProvider | None = None)
         from .rowcodec import encode_row  # loaded only by a run that records
 
         rows = "".join(map(encode_row, recorder.rows))
-    digest = ""
-    if spec.manifest:
-        import hashlib  # ~5 ms (OpenSSL): loaded only for a manifest
-
-        digest = hashlib.sha256(json.dumps(clusters).encode()).hexdigest()
+    digest = ingest.sha256(json.dumps(clusters).encode()).hexdigest() if spec.manifest else ""
     return DocOutput(
         doc_id=doc.doc_id,
         prediction=prediction,

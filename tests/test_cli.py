@@ -875,9 +875,10 @@ def test_cli_loads_no_numpy_or_scipy(tmp_path, corpus, argv):
 # Each subcommand imports only the modules it runs, and the package loads
 # a submodule when one of its names is first used. No call defines a
 # dataclass (which imports inspect), and decimal, which only the proposal
-# cut-off uses, loads only for a run given --proposal-ratio.
+# cut-off uses, loads only for a run given --proposal-ratio. No call loads
+# hashlib or OpenSSL (_hashlib): manifest digests use the built-in SHA-256.
 
-_STDLIB_WATCHED = {"hashlib", "dataclasses", "inspect", "decimal"}
+_STDLIB_WATCHED = {"hashlib", "_hashlib", "dataclasses", "inspect", "decimal"}
 
 _MODULES_PROBE = f"""
 import sys
@@ -893,33 +894,34 @@ print(sorted(m.split(".")[1] for m in sys.modules if m.startswith("streamcoref."
 _ALL_SUBMODULES = (
     "commands types ingest engine scoring pipeline metrics analytics oracle synth rowcodec"
 )
+_OPENSSL = " hashlib _hashlib"
 
 
 @pytest.mark.parametrize(
     "argv, loads, skips",
     [
-        (("--version",), "cli", _ALL_SUBMODULES),
-        (("--help",), "cli", _ALL_SUBMODULES),
-        (("run", "--policy", "nope", "{corpus}"), "cli", _ALL_SUBMODULES),
+        (("--version",), "cli", _ALL_SUBMODULES + _OPENSSL),
+        (("--help",), "cli", _ALL_SUBMODULES + _OPENSSL),
+        (("run", "--policy", "nope", "{corpus}"), "cli", _ALL_SUBMODULES + _OPENSSL),
         (("score", "{corpus}", "{corpus}"), "metrics",
-         "engine scoring pipeline analytics oracle"),
+         "engine scoring pipeline analytics oracle" + _OPENSSL),
         (("analyze", "{corpus}"), "analytics",
-         "engine scoring pipeline metrics oracle"),
+         "engine scoring pipeline metrics oracle" + _OPENSSL),
         (("run", "{corpus}", "--jobs", "1", "--out", "{tmp}/pred.jsonl"), "pipeline",
-         "metrics analytics oracle synth hashlib rowcodec"),
+         "metrics analytics oracle synth rowcodec" + _OPENSSL),
         (("run", "{corpus}", "--jobs", "1", "--proposal-ratio", "0.3",
           "--out", "{tmp}/pred.jsonl"), "pipeline decimal",
-         "metrics analytics oracle synth hashlib rowcodec"),
-        (("run", "{corpus}", "--jobs", "1", "--manifest", "{tmp}/manifest.json"), "hashlib",
-         "metrics analytics oracle synth rowcodec"),
+         "metrics analytics oracle synth rowcodec" + _OPENSSL),
+        (("run", "{corpus}", "--jobs", "1", "--manifest", "{tmp}/manifest.json"), "pipeline",
+         "metrics analytics oracle synth rowcodec" + _OPENSSL),
         (("run", "{corpus}", "--jobs", "1", "--record-scores", "{tmp}/rows.jsonl"),
-         "pipeline rowcodec", "metrics analytics oracle synth hashlib"),
+         "pipeline rowcodec", "metrics analytics oracle synth" + _OPENSSL),
         (("run", "{corpus}", "--scorer", "replay:{rows}"), "pipeline rowcodec",
-         "metrics analytics oracle synth hashlib"),
+         "metrics analytics oracle synth" + _OPENSSL),
         (("oracle", "{corpus}", "--policy", "lb", "--capacity", "3"), "oracle engine scoring",
-         "pipeline metrics analytics synth hashlib rowcodec"),
+         "pipeline metrics analytics synth rowcodec" + _OPENSSL),
         (("synth", "--seed", "1", "--docs", "2", "--out", "{tmp}/synth.jsonl"), "synth",
-         "engine scoring pipeline metrics analytics oracle"),
+         "engine scoring pipeline metrics analytics oracle" + _OPENSSL),
     ],
     ids=["version", "help", "usage-error", "score", "analyze", "run", "run-ratio",
          "run-manifest", "run-record", "replay", "oracle", "synth"],

@@ -1,9 +1,13 @@
 """Corpus ingestion: column format, JSON lines, ordering, round trips."""
 
+import builtins
+import hashlib
+import io
 import json
 import pickle
 import random
 import re
+import tempfile
 import textwrap
 from collections import Counter
 from pathlib import Path
@@ -31,13 +35,16 @@ from streamcoref import (
     synthesize_corpus,
     write_jsonl,
 )
+from streamcoref import ingest
 from streamcoref.ingest import (
     detect_format,
     document_to_jsonl,
+    file_lines,
     iter_documents,
     load_conll,
     load_jsonl,
     read_chunks,
+    sha256,
 )
 
 BASIC = textwrap.dedent(
@@ -257,6 +264,55 @@ def test_not_utf8_names_the_line(tmp_path):
     with pytest.raises(ParseError) as err:
         load_jsonl(path)
     assert (err.value.path, err.value.line) == (str(path), 3)
+
+
+_LINES = st.lists(st.binary(max_size=64), max_size=20).map(b"\n".join)
+
+
+@given(_LINES)
+def test_sha256_digests_equal_hashlib(data):
+    expected = hashlib.sha256(data).hexdigest()
+    assert sha256().hexdigest() == hashlib.sha256().hexdigest()
+    assert sha256(data).hexdigest() == expected
+    one = sha256()
+    one.update(data)
+    assert one.hexdigest() == expected
+    by_line = sha256()
+    for line in io.BytesIO(data):  # split after each b"\n", as a file is read
+        by_line.update(line)
+    assert by_line.hexdigest() == expected
+
+
+@given(st.lists(st.text(st.characters(blacklist_categories=("Cs",)), max_size=20), max_size=10))
+def test_file_lines_digest_equals_hashlib(lines):
+    data = "\n".join(lines).encode("utf-8")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "a.jsonl")
+        Path(path).write_bytes(data)
+        digests = []
+        sizes = [size for _, size, _ in file_lines(path, digests)]
+    assert sum(sizes) == len(data)
+    assert digests == [(path, hashlib.sha256(data).hexdigest())]
+
+
+def test_sha256_resolves_its_constructor_once(monkeypatch):
+    imports = Counter()
+    real_import = builtins.__import__
+
+    def counting_import(name, *args, **kwargs):
+        imports[name] += 1
+        return real_import(name, *args, **kwargs)
+
+    monkeypatch.setattr(ingest, "_sha256_new", None)
+    monkeypatch.setattr(builtins, "__import__", counting_import)
+    modules = ("_sha2", "_sha256", "hashlib")
+    sha256(b"first")
+    first = sum(imports[m] for m in modules)
+    for i in range(99):
+        sha256(bytes([i]))
+    assert first >= 1
+    assert sum(imports[m] for m in modules) == first
+    assert imports["hashlib"] == 0  # the built-in module, not OpenSSL
 
 
 def test_conll_round_trip_matches_bracket_oracle():
