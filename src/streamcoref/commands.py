@@ -480,9 +480,33 @@ def cmd_score(args) -> None:
         )
 
 
+def _check_synth_args(args) -> None:
+    """Reject the flag values that synthesize_document would clamp or fail on.
+
+    It draws each document's entities from min..max entities, its gold
+    mentions from the entity count up to max mentions, and its token count
+    from max(8, 2 per minimum entity) up to max tokens.
+    """
+    tokens = max(8, 2 * args.min_entities)
+    floors = [
+        ("--docs", args.docs, 0, "0"),
+        ("--extra-candidates", args.extra_candidates, 0, "0"),
+        ("--min-entities", args.min_entities, 1, "1"),
+        ("--max-entities", args.max_entities, args.min_entities,
+         f"--min-entities ({args.min_entities})"),
+        ("--max-mentions", args.max_mentions, args.max_entities,
+         f"--max-entities ({args.max_entities})"),
+        ("--max-tokens", args.max_tokens, tokens, f"{tokens} (8, and 2 per --min-entities)"),
+    ]
+    for flag, value, floor, least in floors:
+        if value < floor:
+            raise ConfigError(f"{flag} must be at least {least}, got {value}")
+
+
 def cmd_synth(args) -> None:
     from .synth import synthesize_corpus
 
+    _check_synth_args(args)
     docs = synthesize_corpus(
         args.seed,
         args.docs,

@@ -242,16 +242,6 @@ def _require(obj: dict, key: str, path: str, line_no: int | None):
     return obj[key]
 
 
-def _span_from_pair(pair, key: str, path: str, line_no: int | None) -> MentionSpan:
-    # type() rather than isinstance: a JSON bool is not a token index.
-    if type(pair) is not list or len(pair) != 2:
-        raise SchemaError(key, path=path, line=line_no, detail="ill-typed")
-    start, end = pair
-    if type(start) is not int or type(end) is not int:
-        raise SchemaError(key, path=path, line=line_no, detail="ill-typed")
-    return MentionSpan(start, end)
-
-
 def parse_jsonl(line: str, *, path: str = "<string>", line_no: int | None = None) -> Document:
     """Parse one JSON document line.
 
@@ -276,11 +266,25 @@ def parse_jsonl(line: str, *, path: str = "<string>", line_no: int | None = None
     raw_clusters = _require(obj, "gold_clusters", path, line_no)
     if not isinstance(raw_clusters, list):
         raise SchemaError("gold_clusters", path=path, line=line_no, detail="ill-typed")
+    # Spans are built with tuple.__new__, which MentionSpan(start, end)
+    # calls, once their pair is checked. type() rather than isinstance: a
+    # JSON bool is not a token index.
+    new_tuple = tuple.__new__
     gold = []
     for idx, raw in enumerate(raw_clusters):
         if not isinstance(raw, list):
             raise SchemaError("gold_clusters", path=path, line=line_no, detail="ill-typed")
-        mentions = sorted([_span_from_pair(p, "gold_clusters", path, line_no) for p in raw])
+        mentions = []
+        for pair in raw:
+            if (
+                type(pair) is not list
+                or len(pair) != 2
+                or type(pair[0]) is not int
+                or type(pair[1]) is not int
+            ):
+                raise SchemaError("gold_clusters", path=path, line=line_no, detail="ill-typed")
+            mentions.append(new_tuple(MentionSpan, pair))
+        mentions.sort()
         gold.append(GoldCluster(idx, tuple(mentions)))
 
     candidates = []
@@ -304,7 +308,7 @@ def parse_jsonl(line: str, *, path: str = "<string>", line_no: int | None = None
                 raise SchemaError(
                     "candidate_mentions", path=path, line=line_no, detail="ill-typed"
                 ) from None
-            candidates.append((MentionSpan(start, end), score))
+            candidates.append((new_tuple(MentionSpan, (start, end)), score))
 
     boundaries: tuple[int, ...] = ()
     if "sentence_boundaries" in obj:

@@ -4,12 +4,15 @@ read_chunks (ingest) streams the corpus as ordered chunks of raw lines.
 run_chunk parses and validates each document, proposes its mentions, runs
 the engine and serializes everything the run writes for it: the
 prediction line, the trace lines, the recorded score rows and the
-clusters' digest for the manifest, plus the counters the summary needs. ordered_outputs
-yields those outputs in input order, computed in this process or in a
-pool of worker processes that holds a bounded window of chunks. The
-calling process therefore holds O(window) documents whatever the corpus
-size, and every worker count gives the same outputs. Workers are forked
-where that is safe (see start_method) and spawned elsewhere.
+clusters' digest for the manifest, plus the counters the summary needs.
+ordered_outputs yields those outputs in input order, computed in this
+process or by worker processes. The parent talks to each worker over two
+pipes, in length-prefixed pickles: the RunSpec, then one chunk at a time,
+each answered by the chunk's outputs or the error it raised. A worker gets
+its next chunk once its last reply is read, so the calling process holds
+O(1) chunks whatever the corpus size, needs no thread, and every worker
+count gives the same outputs. Workers are forked where that is safe (see
+start_method) and spawned elsewhere.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import json
 import os
 import sys
 from collections import deque
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 from .engine import run_document
 from . import ingest
@@ -32,10 +35,6 @@ from .scoring import (
     string_match_scorer,
 )
 from .types import Action, Document, MentionSpan, PolicyConfig
-
-# Chunks in flight per worker: one being computed, one queued behind it.
-WINDOW_PER_WORKER = 2
-
 
 class RunSpec(NamedTuple):
     """Everything a document's run needs besides the document.
@@ -167,28 +166,190 @@ def worker_count(jobs: int, corpus_bytes: int, cpus: int | None = None) -> int:
     return max(1, min(jobs, cpus))
 
 
+
+
 def start_method() -> str:
     """How pool workers start: "fork" where it is safe, else "spawn".
 
     A forked worker inherits the modules this process has loaded, so it
     starts in milliseconds; a spawned one starts an interpreter and imports
     the package again. fork needs Linux (Windows has none, and macOS system
-    libraries are not fork-safe), Python 3.11+, whose ProcessPoolExecutor
-    forks every worker before it starts its manager thread (CPython
-    gh-90622), and a caller running no other thread, since a fork copies
-    the locks other threads hold.
+    libraries are not fork-safe) and a caller running no other thread,
+    since a fork copies the locks other threads hold. The pool itself
+    starts no thread.
     """
-    import multiprocessing
     import threading
 
-    if (
-        sys.platform.startswith("linux")
-        and sys.version_info >= (3, 11)
-        and "fork" in multiprocessing.get_all_start_methods()
-        and threading.active_count() == 1
-    ):
+    if sys.platform.startswith("linux") and hasattr(os, "fork") and threading.active_count() == 1:
         return "fork"
     return "spawn"
+
+
+class WorkerError(RuntimeError):
+    """A worker process died, or raised an error that cannot cross its pipe."""
+
+
+# The pool's messages: each is the length of a pickle in 8 bytes, then the
+# pickle. pickle loads only in a run with more than one worker.
+
+
+def _send(fh: BinaryIO, obj) -> None:
+    import pickle
+
+    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+    fh.write(len(data).to_bytes(8, "little"))
+    fh.write(data)
+    fh.flush()
+
+
+def _receive(fh: BinaryIO):
+    """The next message's object; EOFError once the writer has closed the pipe."""
+    import pickle
+
+    head = fh.read(8)
+    if len(head) == 8:
+        size = int.from_bytes(head, "little")
+        data = fh.read(size)
+        if len(data) == size:
+            return pickle.loads(data)
+    raise EOFError("the pipe closed")
+
+
+def _portable(error: Exception) -> Exception:
+    """error if its pickle rebuilds it, else a WorkerError with its type and text."""
+    import pickle
+
+    try:
+        pickle.loads(pickle.dumps(error, pickle.HIGHEST_PROTOCOL))
+    except Exception:
+        return WorkerError(f"a worker raised {type(error).__name__}: {error}")
+    return error
+
+
+def _serve(tasks: BinaryIO, results: BinaryIO) -> None:
+    """The worker loop: read the RunSpec, then run each chunk read and reply
+    with its outputs or the error it raised, until the parent closes the pipes."""
+    try:
+        spec = _receive(tasks)
+        while True:
+            chunk = _receive(tasks)
+            try:
+                reply = run_chunk(spec, chunk)
+            except Exception as e:
+                reply = _portable(e)
+            _send(results, reply)
+    except (EOFError, BrokenPipeError):
+        return
+
+
+class _Worker:
+    """A worker process and this process's ends of its two pipes."""
+
+    def __init__(self, pid: int, tasks: BinaryIO, results: BinaryIO, proc=None):
+        self.pid = pid
+        self.tasks = tasks  # messages to the worker
+        self.results = results  # its replies
+        self.proc = proc  # the subprocess.Popen of a spawned worker
+        self.exit_code: int | None = None
+
+    def send(self, obj) -> None:
+        try:
+            _send(self.tasks, obj)
+        except BrokenPipeError:
+            raise self._died() from None
+
+    def outputs(self) -> list[DocOutput]:
+        """The reply to the oldest chunk sent; raises the error it holds."""
+        try:
+            reply = _receive(self.results)
+        except EOFError:
+            raise self._died() from None
+        if isinstance(reply, BaseException):
+            raise reply
+        return reply
+
+    def _died(self) -> WorkerError:
+        code = self.wait()
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+        return WorkerError(f"worker process {self.pid} {how} before the run ended")
+
+    def wait(self) -> int:
+        if self.exit_code is None:
+            if self.proc is not None:
+                self.exit_code = self.proc.wait()
+            else:
+                self.exit_code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        return self.exit_code
+
+    def close(self) -> None:
+        """Close both pipes, which ends the worker, and reap it.
+
+        A worker waiting for a chunk reads the end of the pipe; one still
+        running a chunk fails to write its reply. Either way it exits.
+        """
+        for fh in (self.tasks, self.results):
+            try:
+                fh.close()
+            except OSError:  # a message cut short by a dead worker
+                pass
+        self.wait()
+
+
+def _fork_worker(pool: Sequence[_Worker]) -> _Worker:
+    """A worker forked from this process; pool holds the workers before it."""
+    task_r, task_w = os.pipe()
+    result_r, result_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # The worker ends here and never returns into its caller's frames:
+        # it shares the caller's staged output files and their unflushed
+        # buffers, which must be written once, by the caller.
+        code = 1
+        try:
+            os.close(task_w)
+            os.close(result_r)
+            # The parent's ends of the earlier workers' pipes: closing them
+            # here leaves the parent the only one that can end those workers.
+            for other in pool:
+                os.close(other.tasks.fileno())
+                os.close(other.results.fileno())
+            _serve(open(task_r, "rb"), open(result_w, "wb"))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(task_r)
+    os.close(result_w)
+    return _Worker(pid, open(task_w, "wb"), open(result_r, "rb"))
+
+
+def _spawn_worker() -> _Worker:
+    """A worker in a new interpreter that imports the package from this
+    process's sys.path and serves over its stdin and stdout."""
+    import subprocess
+
+    code = (
+        f"import sys; sys.path[:] = {sys.path!r}; "
+        f"from {__name__} import _serve_stdio; _serve_stdio()"
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code], stdin=subprocess.PIPE, stdout=subprocess.PIPE
+    )
+    return _Worker(proc.pid, proc.stdin, proc.stdout, proc)
+
+
+def _serve_stdio() -> None:
+    """A spawned worker's loop over stdin and stdout.
+
+    Output printed by anything else goes to stderr, where it cannot break
+    a reply. The worker ends with os._exit, so a reply cut short by the
+    parent closing the pipe is not written again at exit.
+    """
+    results = os.fdopen(os.dup(1), "wb")
+    os.dup2(2, 1)
+    _serve(sys.stdin.buffer, results)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(0)
 
 
 def ordered_outputs(
@@ -200,10 +361,14 @@ def ordered_outputs(
     """Every document's DocOutput, in input order.
 
     One worker runs the chunks in this process, as replay must (its
-    provider's rows are positional across the corpus). More run them in a
-    pool of processes started by start_method(), with at most
-    WINDOW_PER_WORKER chunks per worker in flight. The first error in
-    input order is raised, whichever process met it.
+    provider's rows are positional across the corpus). More run them in
+    worker processes started by start_method(), each started when its
+    first chunk is read. Chunks go to the workers in turn, one at a time:
+    a worker gets its next chunk only once its last reply has been read,
+    so replies come back in input order, no write blocks on a worker busy
+    writing its own reply, and this process holds the chunk being read
+    and the outputs of one. The first error in input order is raised,
+    whichever process met it.
     """
     if workers <= 1:
         for chunk in chunks:
@@ -212,13 +377,9 @@ def ordered_outputs(
     if provider is not None:
         raise ValueError("a shared provider runs in this process only")
 
-    # The pool's modules cost every CLI call ~15 ms to import, so only a
-    # parallel run loads them.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(start_method()))
-    pending: deque = deque()
+    fork = start_method() == "fork"
+    pool: list[_Worker] = []
+    busy: deque[_Worker] = deque()  # one chunk in flight each, oldest first
     chunks = iter(chunks)
     try:
         while True:
@@ -227,15 +388,25 @@ def ordered_outputs(
             except (OSError, ParseError):
                 # The reader failed after the chunks in flight were read:
                 # their errors and outputs come first.
-                while pending:
-                    yield from pending.popleft().result()
+                while busy:
+                    yield from busy.popleft().outputs()
                 raise
             if chunk is None:
                 break
-            pending.append(pool.submit(run_chunk, spec, chunk))
-            if len(pending) >= WINDOW_PER_WORKER * workers:
-                yield from pending.popleft().result()
-        while pending:
-            yield from pending.popleft().result()
+            outputs: list[DocOutput] = []
+            if len(pool) < workers:
+                worker = _fork_worker(pool) if fork else _spawn_worker()
+                pool.append(worker)
+                worker.send(spec)
+            else:
+                worker = busy.popleft()
+                outputs = worker.outputs()
+            worker.send(chunk)
+            busy.append(worker)
+            del chunk  # the worker has it
+            yield from outputs
+        while busy:
+            yield from busy.popleft().outputs()
     finally:
-        pool.shutdown(cancel_futures=True)
+        for worker in pool:
+            worker.close()

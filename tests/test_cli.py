@@ -6,6 +6,7 @@ import csv
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -61,6 +62,42 @@ def test_synth_is_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
     assert len(load_jsonl(a)) == 6
     assert "wrote 6 documents" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (("--docs", -1), "--docs must be at least 0, got -1"),
+        (("--extra-candidates", -3), "--extra-candidates must be at least 0, got -3"),
+        (("--min-entities", 0), "--min-entities must be at least 1, got 0"),
+        (("--min-entities", 5, "--max-entities", 4),
+         "--max-entities must be at least --min-entities (5), got 4"),
+        (("--max-entities", 9, "--max-mentions", 8),
+         "--max-mentions must be at least --max-entities (9), got 8"),
+        (("--max-tokens", 0),
+         "--max-tokens must be at least 8 (8, and 2 per --min-entities), got 0"),
+        (("--min-entities", 6, "--max-tokens", 11), "--max-tokens must be at least 12"),
+    ],
+    ids=["docs", "extra-candidates", "min-entities", "max-entities", "max-mentions",
+         "max-tokens", "max-tokens-for-entities"],
+)
+def test_synth_rejects_flags_it_would_clamp(tmp_path, capsys, flags, named):
+    out = tmp_path / "synth.jsonl"
+    assert run_cli("synth", "--seed", 1, *flags, "--out", out) == 3
+    assert capsys.readouterr().err.startswith(f"error: {named}")
+    assert not out.exists()
+
+
+def test_synth_flags_at_their_floors(tmp_path, capsys):
+    out = tmp_path / "synth.jsonl"
+    argv = ("--docs", 0, "--extra-candidates", 0, "--min-entities", 4, "--max-entities", 4,
+            "--max-mentions", 4, "--max-tokens", 8)
+    assert run_cli("synth", "--seed", 1, *argv, "--out", out) == 0
+    assert out.read_bytes() == b""
+    assert run_cli("synth", "--seed", 1, *argv[2:], "--docs", 3, "--out", out) == 0
+    docs = load_jsonl(out)
+    assert [len(d.gold_clusters) for d in docs] == [4, 4, 4]
+    assert all(len(d) == 8 and len(d.gold_mentions()) == 4 for d in docs)
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +251,10 @@ def test_worker_count():
     assert 1 <= worker_count(10**6, big) <= (os.cpu_count() or 1)
 
 
-@pytest.mark.skipif(
-    not sys.platform.startswith("linux") or sys.version_info < (3, 11),
-    reason="workers fork on Linux from Python 3.11",
-)
+_LINUX = sys.platform.startswith("linux")
+
+
+@pytest.mark.skipif(not _LINUX, reason="workers fork on Linux")
 def test_pool_workers_fork_on_linux():
     from streamcoref.pipeline import start_method
 
@@ -229,7 +266,6 @@ def test_pool_workers_fork_on_linux():
     [
         ("platform", "darwin"),
         ("platform", "win32"),
-        ("version_info", (3, 10, 13, "final", 0)),
     ],
 )
 def test_pool_workers_spawn_where_fork_is_unsafe(monkeypatch, attr, value):
@@ -256,11 +292,9 @@ def test_pool_workers_spawn_beside_another_thread():
 
 
 def test_pool_workers_spawn_without_fork(monkeypatch):
-    import multiprocessing
-
     from streamcoref.pipeline import start_method
 
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.delattr(os, "fork")
     assert start_method() == "spawn"
 
 
@@ -315,6 +349,135 @@ def test_failed_pool_run_leaves_no_file(tmp_path, three_chunk_corpus):
     assert proc.stdout == ""
     assert proc.stderr.startswith(f"error: {bad}:{len(lines) - 2}: invalid JSON")
     assert list(out.iterdir()) == []  # no output and no temporary file
+
+
+class _TwoArgError(Exception):
+    """An error whose pickle cannot rebuild it: __init__ takes two arguments."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}/{b}")
+
+
+def _second_chunk_fails(how):
+    """A run_chunk that runs a worker's first chunk and fails on its next.
+
+    Forked workers inherit it, and each counts its own calls. It never
+    fails in the test's own process.
+    """
+    from streamcoref import pipeline
+
+    real, calls, parent = pipeline.run_chunk, [], os.getpid()
+
+    def run_chunk(spec, chunk, provider=None):
+        calls.append(None)
+        if len(calls) > 1 and os.getpid() != parent:
+            how()
+        return real(spec, chunk, provider)
+
+    return run_chunk
+
+
+def _raise(error):
+    def how():
+        raise error
+
+    return how
+
+
+@pytest.fixture()
+def pool_deadline():
+    """Fail a pool run that has not ended in 120 s, instead of hanging."""
+    if not hasattr(signal, "SIGALRM"):  # not on Windows
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError("the run did not end in 120 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(120)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_no_child_left():
+    if hasattr(os, "WNOHANG"):  # not on Windows
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(
+    not _LINUX or len(os.sched_getaffinity(0)) < 2,
+    reason="the failing run_chunk reaches forked workers only, and --jobs 2 needs 2 CPUs",
+)
+@pytest.mark.parametrize(
+    "how, error, message",
+    [
+        (lambda: os._exit(3), "WorkerError", r"worker process \d+ exited with code 3"),
+        (_raise(KeyError("boom")), "KeyError", "boom"),
+        (_raise(_TwoArgError("a", "b")), "WorkerError", "a worker raised _TwoArgError: a/b"),
+    ],
+    ids=["worker-exits", "worker-raises", "error-not-picklable"],
+)
+def test_failed_worker_ends_the_run(
+    tmp_path, three_chunk_corpus, monkeypatch, pool_deadline, how, error, message
+):
+    from streamcoref import pipeline
+
+    monkeypatch.setattr(pipeline, "run_chunk", _second_chunk_fails(how))
+    expected = pipeline.WorkerError if error == "WorkerError" else KeyError
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises(expected, match=message):
+        run_cli("run", three_chunk_corpus, "--jobs", 2, "--out", out / "pred.jsonl",
+                "--trace", out / "trace.jsonl", "--manifest", out / "manifest.json")
+    assert list(out.iterdir()) == []  # no output and no temporary file
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("bad_line", [b"{not json\n", b"\xff\n"], ids=["worker", "reader"])
+def test_parse_error_in_last_chunk_ends_the_pool(
+    tmp_path, three_chunk_corpus, capsys, pool_deadline, bad_line
+):
+    lines = three_chunk_corpus.read_bytes().splitlines(keepends=True)
+    lines[-3] = bad_line  # parsed by a worker, or failing in this process's reader
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b"".join(lines))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli("run", bad, "--jobs", 2, "--out", out / "pred.jsonl",
+                   "--record-scores", out / "rows.jsonl") == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}:{len(lines) - 2}: ")
+    assert list(out.iterdir()) == []
+    _assert_no_child_left()
+
+
+def test_spawned_workers_match_one_worker(tmp_path, corpus, monkeypatch, capsys, pool_deadline):
+    from streamcoref import pipeline
+
+    _, path = corpus
+    monkeypatch.setattr(streamcoref.ingest, "CHUNK_BYTES", 600)
+    outputs = ("pred.jsonl", "trace.jsonl", "manifest.json", "rows.jsonl")
+    runs = []
+    for jobs in (1, 2):
+        if jobs == 2:
+            monkeypatch.setattr(pipeline, "start_method", lambda: "spawn")
+            if hasattr(os, "fork"):
+                monkeypatch.delattr(os, "fork")  # proves no worker is forked
+        out = tmp_path / f"jobs{jobs}"
+        out.mkdir()
+        code = run_cli(
+            "run", path, "--scorer", "string-match", "--policy", "lb", "--capacity", 2,
+            "--jobs", jobs, "--out", out / outputs[0], "--trace", out / outputs[1],
+            "--manifest", out / outputs[2], "--record-scores", out / outputs[3],
+        )
+        assert code == 0
+        runs.append([capsys.readouterr().out] + [(out / name).read_bytes() for name in outputs])
+    assert runs[0] == runs[1]
+    _assert_no_child_left()
 
 
 def test_jobs_is_a_run_option_only(corpus):
@@ -818,8 +981,8 @@ def test_parse_errors_exit_2(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # import budget: importing numpy and scipy dominates CLI start-up, so only a
-# score whose CEAF alignment needs the assignment solver may load them; the
-# process pool's modules load only for a run with more than one worker
+# score whose CEAF alignment needs the assignment solver may load them; no
+# call loads multiprocessing or concurrent.futures
 
 _PROBE = """
 import sys
@@ -877,8 +1040,14 @@ def test_cli_loads_no_numpy_or_scipy(tmp_path, corpus, argv):
 # dataclass (which imports inspect), and decimal, which only the proposal
 # cut-off uses, loads only for a run given --proposal-ratio. No call loads
 # hashlib or OpenSSL (_hashlib): manifest digests use the built-in SHA-256.
+# A run with workers loads neither multiprocessing nor concurrent.futures
+# (nor the logging they import): on Linux its workers are forked, and
+# elsewhere spawned with subprocess.
 
-_STDLIB_WATCHED = {"hashlib", "_hashlib", "dataclasses", "inspect", "decimal"}
+_STDLIB_WATCHED = {
+    "hashlib", "_hashlib", "dataclasses", "inspect", "decimal",
+    "multiprocessing", "concurrent", "logging", "subprocess",
+}
 
 _MODULES_PROBE = f"""
 import sys
@@ -895,6 +1064,7 @@ _ALL_SUBMODULES = (
     "commands types ingest engine scoring pipeline metrics analytics oracle synth rowcodec"
 )
 _OPENSSL = " hashlib _hashlib"
+_POOL = " multiprocessing concurrent logging"
 
 
 @pytest.mark.parametrize(
@@ -918,20 +1088,28 @@ _OPENSSL = " hashlib _hashlib"
          "pipeline rowcodec", "metrics analytics oracle synth" + _OPENSSL),
         (("run", "{corpus}", "--scorer", "replay:{rows}"), "pipeline rowcodec",
          "metrics analytics oracle synth" + _OPENSSL),
+        pytest.param(
+            ("run", "{big}", "--jobs", "2", "--out", "{tmp}/pred.jsonl"), "pipeline",
+            "metrics analytics oracle synth rowcodec subprocess" + _OPENSSL + _POOL,
+            marks=pytest.mark.skipif(not _LINUX, reason="workers fork on Linux"),
+        ),
         (("oracle", "{corpus}", "--policy", "lb", "--capacity", "3"), "oracle engine scoring",
          "pipeline metrics analytics synth rowcodec" + _OPENSSL),
         (("synth", "--seed", "1", "--docs", "2", "--out", "{tmp}/synth.jsonl"), "synth",
          "engine scoring pipeline metrics analytics oracle" + _OPENSSL),
     ],
     ids=["version", "help", "usage-error", "score", "analyze", "run", "run-ratio",
-         "run-manifest", "run-record", "replay", "oracle", "synth"],
+         "run-manifest", "run-record", "replay", "run-jobs2", "oracle", "synth"],
 )
-def test_subcommand_loads_only_its_modules(tmp_path, corpus, argv, loads, skips):
+def test_subcommand_loads_only_its_modules(
+    tmp_path, corpus, three_chunk_corpus, argv, loads, skips
+):
     _, path = corpus
     rows = tmp_path / "recorded.jsonl"
     if any("{rows}" in a for a in argv):
         assert run_cli("run", path, "--record-scores", rows) == 0
-    fill = {"{corpus}": str(path), "{tmp}": str(tmp_path), "{rows}": str(rows)}
+    fill = {"{corpus}": str(path), "{tmp}": str(tmp_path), "{rows}": str(rows),
+            "{big}": str(three_chunk_corpus)}
     for key, value in fill.items():
         argv = [a.replace(key, value) for a in argv]
     loaded = set(ast.literal_eval(_heavy_modules_loaded(_MODULES_PROBE, *argv)))
