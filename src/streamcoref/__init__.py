@@ -68,7 +68,6 @@ _EXPORTS = {
         "oracle_trackable_fraction",
     ),
     "scoring": (
-        "EntityCell",
         "GoldScoreProvider",
         "RecordingScoreProvider",
         "ReplayScoreProvider",

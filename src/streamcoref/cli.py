@@ -3,7 +3,9 @@
 Subcommands: analyze (corpus statistics), run (clustering), oracle
 (teacher-forcing diagnostics), score (evaluation), synth (synthetic
 fixtures). Exit codes: 0 success, 2 parse failure, 3 configuration
-conflict, 4 replay shape mismatch, 5 document alignment failure.
+conflict, 4 replay shape mismatch, 5 document alignment failure, 6 a
+run --jobs worker process died or raised an error that cannot reach
+this process.
 
 This module holds the parser and the exit codes only. The subcommands
 are in commands, which main imports once the arguments are parsed: so
@@ -20,6 +22,7 @@ EXIT_PARSE = 2
 EXIT_CONFIG = 3
 EXIT_REPLAY = 4
 EXIT_ALIGN = 5
+EXIT_WORKER = 6
 
 
 def _err(message) -> None:
@@ -109,7 +112,7 @@ def main(argv=None) -> int:
     # --version, --help and usage errors have exited inside parse_args.
     from . import commands
     from .ingest import ParseError
-    from .types import ConfigError, ScoreShapeMismatch
+    from .types import ConfigError, ScoreShapeMismatch, WorkerError
 
     try:
         getattr(commands, f"cmd_{args.command}")(args)
@@ -126,6 +129,9 @@ def main(argv=None) -> int:
     except commands.DocIdMismatch as e:
         _err(e)
         return EXIT_ALIGN
+    except WorkerError as e:
+        _err(e)
+        return EXIT_WORKER
     except OSError as e:
         _err(e)
         return EXIT_PARSE

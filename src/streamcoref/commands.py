@@ -15,7 +15,7 @@ import os
 from contextlib import closing, contextmanager
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, TextIO
+from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
 
 from . import __version__
 from .ingest import (
@@ -46,12 +46,16 @@ class DocIdMismatch(ValueError):
 
 def _resolve_jobs(args) -> int:
     if args.jobs is not None:
-        return max(1, args.jobs)
-    raw = os.environ.get("COREF_JOBS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"COREF_JOBS must be an integer, got {raw!r}") from None
+        name, jobs = "--jobs", args.jobs
+    else:
+        name, raw = "COREF_JOBS", os.environ.get("COREF_JOBS", "1")
+        try:
+            jobs = int(raw)
+        except ValueError:
+            raise ConfigError(f"COREF_JOBS must be an integer, got {raw!r}") from None
+    if jobs < 1:
+        raise ConfigError(f"{name} must be at least 1, got {jobs}")
+    return jobs
 
 
 def _policy_from_args(args) -> PolicyConfig:
@@ -79,22 +83,61 @@ def _parse_scorer(spec: str) -> tuple[str, object]:
     raise ConfigError(f"unknown scorer {spec!r} (use gold, string-match, or replay:PATH)")
 
 
+def _check_outputs(
+    outputs: Iterable[tuple[str, str | None]], inputs: Iterable[tuple[str, str]]
+) -> None:
+    """Raise ConfigError when an output names an input or another output.
+
+    Both hold (what the user named it by, path) pairs: a flag, or "input
+    PATH". An output whose path is None is not written. Paths match when
+    they resolve to the same one (os.path.realpath, so through symlinks)
+    or, where both exist, are the same file (os.path.samefile, so through
+    hard links). Run it before any input is read: a run would otherwise
+    replace an input with its output, or fail on two outputs staged at one
+    path.
+    """
+    seen = [(name, path, os.path.realpath(path)) for name, path in inputs]
+    for flag, path in outputs:
+        if not path:
+            continue
+        real = os.path.realpath(path)
+        for other, other_path, other_real in seen:
+            if real == other_real or _same_file(path, other_path):
+                raise ConfigError(f"{flag} {path} and {other} are the same file")
+        seen.append((f"{flag} {path}", path, real))
+
+
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist (yet)
+        return False
+
+
+def _inputs(paths: list[str]) -> list[tuple[str, str]]:
+    return [(f"input {p}", p) for p in paths]
+
+
 @contextmanager
 def _staged(paths: dict[str, str | None]) -> Iterator[dict[str, TextIO]]:
     """Open a temporary file beside each given target path.
 
     The files replace their targets only when the block completes; on any
-    error they are deleted, so a failed run leaves no output behind. They
-    are opened with newline="", so what is written is what lands on disk
-    (the csv module's own line ends included).
+    error they are deleted, so a failed run leaves no output behind. A
+    target that is a symlink is resolved first, so the file it points to
+    is the one replaced and the link stays. The files are opened with
+    newline="", so what is written is what lands on disk (the csv
+    module's own line ends included).
     """
     files: dict[str, TextIO] = {}
+    targets: dict[str, str] = {}
     done = False
     try:
         for key, path in paths.items():
             if path:
-                target = Path(path)
-                tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+                target = targets[key] = os.path.realpath(path)
+                head, name = os.path.split(target)
+                tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
                 files[key] = open(tmp, "x", encoding="utf-8", newline="")
         yield files
         done = True
@@ -103,7 +146,7 @@ def _staged(paths: dict[str, str | None]) -> Iterator[dict[str, TextIO]]:
             fh.close()
         for key, fh in files.items():
             if done:
-                os.replace(fh.name, paths[key])
+                os.replace(fh.name, targets[key])
             else:
                 os.unlink(fh.name)
 
@@ -155,6 +198,16 @@ def cmd_run(args) -> None:
     if ratio is not None and not 0 < ratio < math.inf:
         raise ConfigError(f"--proposal-ratio must be positive and finite, got {ratio}")
     jobs = _resolve_jobs(args)
+    targets = {
+        "--out": args.out,
+        "--trace": args.trace,
+        "--record-scores": args.record_scores,
+        "--manifest": args.manifest,
+    }
+    inputs = _inputs(args.inputs)
+    if scorer_arg:
+        inputs.append((f"--scorer {args.scorer}", scorer_arg))
+    _check_outputs(targets.items(), inputs)
     match_cfg = StringMatchConfig(
         lowercase=not args.no_lowercase,
         strip_determiners=args.strip_determiners,
@@ -179,18 +232,12 @@ def cmd_run(args) -> None:
 
     docs = steps = peak = ignored_cap = ignored_inv = evictions = 0
     entity_steps = 0.0
-    targets = {
-        "out": args.out,
-        "trace": args.trace,
-        "rows": args.record_scores,
-        "manifest": args.manifest,
-    }
     with _staged(targets) as files:
-        out, trace, rows = files.get("out"), files.get("trace"), files.get("rows")
+        out, trace, rows = files.get("--out"), files.get("--trace"), files.get("--record-scores")
         manifest = None
         if args.manifest:
             manifest = _ManifestWriter(
-                files["manifest"],
+                files["--manifest"],
                 {
                     "command": "run",
                     "policy": policy.policy.value,
@@ -251,11 +298,12 @@ def cmd_analyze(args) -> None:
     targets = {}
     if args.out:
         outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
         targets = {
             "per_document": str(outdir / "per_document.csv"),
             "histogram": str(outdir / "spread_histogram.csv"),
         }
+        _check_outputs([("--out", p) for p in targets.values()], _inputs(args.inputs))
+        outdir.mkdir(parents=True, exist_ok=True)
     stats = CorpusStats(args.buckets, args.exclude_singletons)
     with _staged(targets) as files:
         per_document = csv.writer(files["per_document"]) if files else None
@@ -304,9 +352,11 @@ def cmd_oracle(args) -> None:
     from .oracle import trackable_fraction
 
     policy = _policy_from_args(args)
+    targets = {"--out": args.out}
+    _check_outputs(targets.items(), _inputs(args.inputs))
     docs = ignored = total = 0
-    with _staged({"out": args.out}) as files:
-        out = files.get("out")
+    with _staged(targets) as files:
+        out = files.get("--out")
         traced = map(
             lambda doc: _oracle_document(doc, policy, out),
             iter_documents(args.inputs, args.format),
@@ -461,6 +511,9 @@ def _report_table(report: ScoreReport) -> str:
 def cmd_score(args) -> None:
     from .metrics import CountAccumulator
 
+    _check_outputs(
+        [("--json", args.json)], [(f"gold {args.gold}", args.gold), (f"pred {args.pred}", args.pred)]
+    )
     drop = args.singletons == "drop"
     acc = CountAccumulator()
     for gold, pred in _aligned_clusters(args.gold, args.pred, args.format):

@@ -23,17 +23,18 @@ strict. Cells keep their slot forever: evict-and-replace swaps the
 occupant but not the position. A cell's "use" is creation, coreference,
 or replacement; reading its scores does not refresh recency.
 
-Every step asks the provider once, for the step's whole ScoreRow (see
-scoring), whatever the policy ends up needing, so recorded runs always
-have the full replay row shape.
+The memory holds each slot's recency and nothing else; what a cell's
+entity is belongs to the provider (see scoring). Every step asks the
+provider once, for the step's whole ScoreRow given the number of cells,
+whatever the policy ends up needing, so recorded runs always have the
+full replay row shape.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import NamedTuple, Sequence
 
-from .scoring import EntityCell, ScoreProvider, ScoreRow
+from .scoring import ScoreProvider, ScoreRow
 from .types import (
     Action,
     ActionKind,
@@ -46,36 +47,34 @@ from .types import (
 
 
 class MemoryState(Record):
-    """Memory between steps: cells in slot order plus counters.
+    """Memory between steps: each cell's last-use ordinal, in slot order.
 
-    run_document owns one state per document and advances it in place.
+    last_use[slot] is the step that created, joined or replaced the slot's
+    cell, so len(last_use) is the number of cells. run_document owns one
+    state per document and advances it in place.
     """
 
-    __slots__ = _fields = ("cells", "capacity", "next_ordinal", "next_cell_id")
+    __slots__ = _fields = ("last_use", "capacity", "next_ordinal")
 
     def __init__(
         self,
-        cells: list[EntityCell] | None = None,
+        last_use: list[int] | None = None,
         capacity: int | None = None,
         next_ordinal: int = 0,
-        next_cell_id: int = 0,
     ):
-        self.cells = [] if cells is None else cells
+        self.last_use = [] if last_use is None else last_use
         self.capacity = capacity
         self.next_ordinal = next_ordinal
-        self.next_cell_id = next_cell_id
 
     @property
     def full(self) -> bool:
-        return self.capacity is not None and len(self.cells) >= self.capacity
-
-
-_LAST_USE = attrgetter("last_use_ordinal")
+        return self.capacity is not None and len(self.last_use) >= self.capacity
 
 
 def lru_slot(state: MemoryState) -> int:
     """Slot of the least recently used cell (ordinals are all distinct)."""
-    return min(state.cells, key=_LAST_USE).slot
+    last_use = state.last_use
+    return last_use.index(min(last_use))
 
 
 def decide(state: MemoryState, row: ScoreRow, policy: PolicyConfig) -> Action:
@@ -96,7 +95,7 @@ def decide(state: MemoryState, row: ScoreRow, policy: PolicyConfig) -> Action:
     if kind is MemoryPolicy.LEARNED_BOUNDED:
         vector = [*row.f_r_cells, row.f_r_mention, row.s_m]
         d = vector.index(min(vector))
-        if d < len(state.cells):
+        if d < len(state.last_use):
             return Action.evict(d)
     else:  # rule-bounded: only the least recently used cell is at stake
         lru = lru_slot(state)
@@ -107,24 +106,6 @@ def decide(state: MemoryState, row: ScoreRow, policy: PolicyConfig) -> Action:
     return Action.ignore_capacity() if d == len(vector) - 2 else Action.ignore_invalid()
 
 
-def _fresh_cell(
-    state: MemoryState,
-    slot: int,
-    doc: Document,
-    mention: MentionSpan,
-    scores: ScoreProvider,
-    ordinal: int,
-) -> EntityCell:
-    cell = EntityCell(
-        cell_id=state.next_cell_id,
-        slot=slot,
-        last_use_ordinal=ordinal,
-        gold_entity_id=scores.gold_entity_id(doc, mention),
-    )
-    state.next_cell_id += 1
-    return cell
-
-
 def _advance(
     doc: Document,
     state: MemoryState,
@@ -133,8 +114,8 @@ def _advance(
     policy: PolicyConfig,
 ) -> Action:
     """The step body: one provider query, the decision, memory updated in place."""
-    cells = state.cells
-    row = scores.step_scores(doc, mention, cells)
+    last_use = state.last_use
+    row = scores.step_scores(doc, mention, len(last_use))
     ordinal = state.next_ordinal
     state.next_ordinal = ordinal + 1
 
@@ -143,14 +124,14 @@ def _advance(
         best = max(s_c)
         if best > 0.0:
             top = s_c.index(best)  # the lowest slot among ties
-            cells[top].last_use_ordinal = ordinal
+            last_use[top] = ordinal
             return Action.coref(top)
 
     action = decide(state, row, policy)
     if action.kind is ActionKind.NEW_ENTITY:
-        cells.append(_fresh_cell(state, len(cells), doc, mention, scores, ordinal))
+        last_use.append(ordinal)
     elif action.kind is ActionKind.EVICT:
-        cells[action.cell] = _fresh_cell(state, action.cell, doc, mention, scores, ordinal)
+        last_use[action.cell] = ordinal
     # Ignores advance the step ordinal and leave memory untouched.
     return action
 
@@ -210,37 +191,32 @@ def run_document(
     provider query plus O(capacity) for the bounded policies.
     """
     state = MemoryState(capacity=policy.capacity)
-    cells = state.cells
+    last_use = state.last_use
     actions: list[Action] = []
-    samples: list[int] = []
-    evictions = ignored_cap = ignored_inv = 0
+    cell_steps = evictions = ignored_cap = ignored_inv = 0
 
     scores.start_document(doc, mentions)
     for i, mention in enumerate(mentions):
         scores.mention_begin(i, mention)
         action = _advance(doc, state, mention, scores, policy)
         actions.append(action)
-        samples.append(len(cells))
+        cell_steps += len(last_use)
         if action.kind is ActionKind.EVICT:
             evictions += 1
         elif action.kind is ActionKind.IGNORE_CAPACITY:
             ignored_cap += 1
         elif action.kind is ActionKind.IGNORE_INVALID:
             ignored_inv += 1
-        if action.cell is not None:
-            touched: EntityCell | None = cells[action.cell]
-        elif action.kind is ActionKind.NEW_ENTITY:
-            touched = cells[-1]
-        else:
-            touched = None
-        scores.observe_action(i, mention, action, touched)
-    scores.end_document()
+        # The slot created, joined or replaced; None for an ignore.
+        slot = len(last_use) - 1 if action.kind is ActionKind.NEW_ENTITY else action.cell
+        scores.observe_action(i, mention, action, slot)
 
     # Tuples built from lists, not generators: see scoring._scores.
     clusters = tuple([tuple(lineage) for lineage in clusters_from_actions(mentions, actions)])
     stats = RunStats(
-        avg_entities_in_memory=sum(samples) / len(samples) if samples else 0.0,
-        max_entities_in_memory=max(samples, default=0),
+        avg_entities_in_memory=cell_steps / len(mentions) if mentions else 0.0,
+        # No step removes a cell, so the last step holds the most.
+        max_entities_in_memory=len(last_use),
         ignored_capacity_count=ignored_cap,
         ignored_invalid_count=ignored_inv,
         eviction_count=evictions,

@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .engine import MemoryState, decide
 from .ingest import order_mentions
-from .scoring import EntityCell, ScoreRow
+from .scoring import ScoreRow
 from .types import (
     Action,
     ActionKind,
@@ -53,9 +53,10 @@ def oracle_trace(
     # its slot's entry in slot_remaining, so each number has one home.
     loose_remaining = {c.entity_id: len(c.mentions) for c in gold}
     slot_remaining: list[int] = []
+    slot_entity: list[int] = []
     slot_of: dict[int, int] = {}
     state = MemoryState(capacity=policy.capacity)
-    cells = state.cells
+    last_use = state.last_use
     steps: list[OracleStep] = []
 
     for i, mention in enumerate(mentions):
@@ -67,25 +68,27 @@ def oracle_trace(
         slot = slot_of.get(ent)
         if slot is not None:
             slot_remaining[slot] -= 1
-            cells[slot].last_use_ordinal = i
+            last_use[slot] = i
             steps.append(OracleStep(Action.coref(slot), ent, slot_remaining[slot]))
             continue
 
         count = loose_remaining.pop(ent)  # includes the current mention
-        row = ScoreRow(math.inf, (-1.0,) * len(cells), tuple(slot_remaining), count)
+        row = ScoreRow(math.inf, (-1.0,) * len(last_use), tuple(slot_remaining), count)
         action = decide(state, row, policy)
         steps.append(OracleStep(action, ent, count - 1))
-        # A cell's id is the step that made it: unique, like the engine's.
+        # i is the cell's last-use ordinal: distinct, as the engine's are.
         if action.kind is ActionKind.NEW_ENTITY:
-            slot = len(cells)
-            cells.append(EntityCell(i, slot, i, ent))
+            slot = len(last_use)
+            last_use.append(i)
+            slot_entity.append(ent)
             slot_remaining.append(count - 1)
         elif action.kind is ActionKind.EVICT:
             slot = action.cell
-            victim = cells[slot].gold_entity_id
+            victim = slot_entity[slot]
             del slot_of[victim]
             loose_remaining[victim] = slot_remaining[slot]
-            cells[slot] = EntityCell(i, slot, i, ent)
+            last_use[slot] = i
+            slot_entity[slot] = ent
             slot_remaining[slot] = count - 1
         else:
             loose_remaining[ent] = count - 1

@@ -34,7 +34,9 @@ from .scoring import (
     propose_top_spans,
     string_match_scorer,
 )
-from .types import Action, Document, MentionSpan, PolicyConfig
+# WorkerError lives in types so that the CLI can catch it without
+# importing this module.
+from .types import Action, Document, MentionSpan, PolicyConfig, WorkerError
 
 class RunSpec(NamedTuple):
     """Everything a document's run needs besides the document.
@@ -183,10 +185,6 @@ def start_method() -> str:
     if sys.platform.startswith("linux") and hasattr(os, "fork") and threading.active_count() == 1:
         return "fork"
     return "spawn"
-
-
-class WorkerError(RuntimeError):
-    """A worker process died, or raised an error that cannot cross its pipe."""
 
 
 # The pool's messages: each is the length of a pickle in 8 bytes, then the

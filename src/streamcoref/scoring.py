@@ -1,7 +1,7 @@
 """Score providers: deterministic sources of the scores the engine needs.
 
-The engine asks a provider once per mention, passing the memory's cells in
-slot order:
+The engine asks a provider once per mention, passing the number of cells
+in memory:
 
     step_scores(doc, mention, cells) -> ScoreRow
 
@@ -19,17 +19,19 @@ s_c and f_r_cells hold exactly one value per cell. The row is also the
 replay-file record: recording appends the row, replay serves it back.
 
 ScoreProvider.step_scores by default composes the row from three scalar
-queries, mention_score, coref_score and remaining_score (2M + 2 calls over
-M cells), so a provider may implement just those. The gold and
-string-match providers override step_scores with one batched pass that
-gives the same row.
+queries, mention_score, coref_score(doc, mention, slot) and
+remaining_score(doc, mention or slot) (2M + 2 calls over M cells), so a
+provider may implement just those. The gold and string-match providers
+override step_scores with one batched pass that gives the same row.
 
-Providers are pure within a run: the same query during the same step gives
-the same value. They may keep per-run state (cursors, per-cell counts) fed
-by the lifecycle hooks that the engine calls: start_document once,
-mention_begin before each step, observe_action after each step (with the
-cell the action created, joined or replaced), end_document once. One
-provider serves one engine run at a time.
+The engine keeps only each slot's recency. Whatever a provider scores a
+cell from (its gold entity, its strings) is its own per-slot state, kept
+from the lifecycle hooks that the engine calls: start_document once,
+mention_begin before each step, and observe_action after each step with
+the slot the action created (the next one), joined or replaced, or None
+for an ignore. Providers are pure within a run: the same query during the
+same step gives the same value. One provider serves one engine run at a
+time.
 
 Replay files are outside input and are checked as they are read, one row
 per mention. They are read by ingest.file_lines, the line reader of every
@@ -53,28 +55,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .ingest import ParseError, file_lines, json_line
 # ScoreShapeMismatch lives in types so that the CLI can catch it without
 # importing this module.
-from .types import Action, ActionKind, Document, MentionSpan, Record, ScoreShapeMismatch
-
-
-class EntityCell(Record):
-    """One memory slot tracking a single entity.
-
-    slot is the cell's fixed position in memory: positions are assigned at
-    creation and survive evict-and-replace, which puts a new cell in the
-    slot. last_use_ordinal is the step that created the cell or last joined
-    a mention to it; the engine updates it in place.
-    gold_entity_id is populated only when the provider knows gold identities.
-    """
-
-    __slots__ = _fields = ("cell_id", "slot", "last_use_ordinal", "gold_entity_id")
-
-    def __init__(
-        self, cell_id: int, slot: int, last_use_ordinal: int, gold_entity_id: int | None = None
-    ):
-        self.cell_id = cell_id
-        self.slot = slot
-        self.last_use_ordinal = last_use_ordinal
-        self.gold_entity_id = gold_entity_id
+from .types import Action, ActionKind, Document, MentionSpan, ScoreShapeMismatch
 
 
 class ScoreRow(NamedTuple):
@@ -148,36 +129,29 @@ class ScoreProvider:
     def mention_begin(self, index: int, mention: MentionSpan) -> None:
         pass
 
-    def step_scores(
-        self, doc: Document, mention: MentionSpan, cells: Sequence[EntityCell]
-    ) -> ScoreRow:
-        """The step's row, built from one scalar query per value."""
+    def step_scores(self, doc: Document, mention: MentionSpan, cells: int) -> ScoreRow:
+        """The step's row over slots 0..cells-1, one scalar query per value."""
+        slots = range(cells)
         return ScoreRow(
             s_m=float(self.mention_score(doc, mention)),
-            s_c=tuple([float(self.coref_score(doc, mention, c)) for c in cells]),
-            f_r_cells=tuple([float(self.remaining_score(doc, c)) for c in cells]),
+            s_c=tuple([float(self.coref_score(doc, mention, slot)) for slot in slots]),
+            f_r_cells=tuple([float(self.remaining_score(doc, slot)) for slot in slots]),
             f_r_mention=float(self.remaining_score(doc, mention)),
         )
 
     def mention_score(self, doc: Document, mention: MentionSpan) -> float:
         raise NotImplementedError
 
-    def coref_score(self, doc: Document, mention: MentionSpan, cell: EntityCell) -> float:
+    def coref_score(self, doc: Document, mention: MentionSpan, slot: int) -> float:
         raise NotImplementedError
 
-    def remaining_score(self, doc: Document, item: MentionSpan | EntityCell) -> float:
+    def remaining_score(self, doc: Document, item: MentionSpan | int) -> float:
+        """The remaining score of a mention, or of the cell in slot item."""
         raise NotImplementedError
-
-    def gold_entity_id(self, doc: Document, mention: MentionSpan) -> int | None:
-        """Gold identity for seeding a cell, None when unknown."""
-        return None
 
     def observe_action(
-        self, index: int, mention: MentionSpan, action: Action, cell: EntityCell | None
+        self, index: int, mention: MentionSpan, action: Action, slot: int | None
     ) -> None:
-        pass
-
-    def end_document(self) -> None:
         pass
 
 
@@ -191,12 +165,18 @@ class GoldScoreProvider(ScoreProvider):
     not yet processed; the mention currently being processed still counts
     for its own entity, while a tracked cell's count covers strictly
     future material. An invalid span has no entity and gets remaining 0.
+
+    Each slot's entity is the one of the mention that created or last
+    replaced its cell, recorded by observe_action. A cell made from a
+    span outside every gold cluster (ustar keeps those) has no entity:
+    it scores remaining 0 and coref -1 with every mention.
     """
 
     def __init__(self, doc: Document | None = None):
         self._ent_of: dict[MentionSpan, int] = {}
         self._remaining: dict[int, float] = {}
         self._prev_entity: int | None = None
+        self._slot_entity: list[int | None] = []
         if doc is not None:
             self.start_document(doc, [])
 
@@ -204,6 +184,7 @@ class GoldScoreProvider(ScoreProvider):
         self._ent_of = dict(doc.entity_by_span)
         self._remaining = {c.entity_id: float(len(c.mentions)) for c in doc.gold_clusters}
         self._prev_entity = None
+        self._slot_entity = []
 
     def mention_begin(self, index: int, mention: MentionSpan) -> None:
         # The previous mention is now fully in the past; its entity's
@@ -212,35 +193,34 @@ class GoldScoreProvider(ScoreProvider):
             self._remaining[self._prev_entity] -= 1.0
         self._prev_entity = self._ent_of.get(mention)
 
-    def step_scores(
-        self, doc: Document, mention: MentionSpan, cells: Sequence[EntityCell]
-    ) -> ScoreRow:
+    def step_scores(self, doc: Document, mention: MentionSpan, cells: int) -> ScoreRow:
         ent = self._ent_of.get(mention)
         remaining = self._remaining
-        f_r_cells = tuple([remaining.get(c.gold_entity_id, 0.0) for c in cells])
+        slot_entity = self._slot_entity
+        f_r_cells = tuple([remaining.get(e, 0.0) for e in slot_entity])
         if ent is None:
-            return ScoreRow(-1.0, (-1.0,) * len(cells), f_r_cells, 0.0)
-        s_c = tuple([1.0 if c.gold_entity_id == ent else -1.0 for c in cells])
+            return ScoreRow(-1.0, (-1.0,) * cells, f_r_cells, 0.0)
+        s_c = tuple([1.0 if e == ent else -1.0 for e in slot_entity])
         return ScoreRow(math.inf, s_c, f_r_cells, remaining[ent])
 
     def mention_score(self, doc: Document, mention: MentionSpan) -> float:
         return math.inf if mention in self._ent_of else -1.0
 
-    def coref_score(self, doc: Document, mention: MentionSpan, cell: EntityCell) -> float:
+    def coref_score(self, doc: Document, mention: MentionSpan, slot: int) -> float:
         ent = self._ent_of.get(mention)
-        if ent is not None and cell.gold_entity_id is not None and ent == cell.gold_entity_id:
-            return 1.0
-        return -1.0
+        return 1.0 if ent is not None and ent == self._slot_entity[slot] else -1.0
 
-    def remaining_score(self, doc: Document, item: MentionSpan | EntityCell) -> float:
-        if isinstance(item, EntityCell):
-            ent = item.gold_entity_id
-        else:
-            ent = self._ent_of.get(item)
+    def remaining_score(self, doc: Document, item: MentionSpan | int) -> float:
+        ent = self._slot_entity[item] if isinstance(item, int) else self._ent_of.get(item)
         return self._remaining.get(ent, 0.0)
 
-    def gold_entity_id(self, doc: Document, mention: MentionSpan) -> int | None:
-        return self._ent_of.get(mention)
+    def observe_action(
+        self, index: int, mention: MentionSpan, action: Action, slot: int | None
+    ) -> None:
+        if action.kind is ActionKind.NEW_ENTITY:
+            self._slot_entity.append(self._ent_of.get(mention))
+        elif action.kind is ActionKind.EVICT:
+            self._slot_entity[slot] = self._ent_of.get(mention)
 
 
 def gold_scorer(doc: Document) -> GoldScoreProvider:
@@ -271,8 +251,7 @@ class StringMatchScoreProvider(ScoreProvider):
     every slot holding its string. step_scores and observe_action
     therefore rely on the engine's contract: mention_begin(index, mention)
     names the mention's position in the list given to start_document, and
-    every cell queried is the one observe_action last reported for its
-    slot.
+    the slots queried are the ones observe_action has reported.
     """
 
     def __init__(self, config: StringMatchConfig | None = None):
@@ -311,11 +290,9 @@ class StringMatchScoreProvider(ScoreProvider):
         for slot in self._holders.get(text, ()):
             self._slot_future[slot] -= 1.0
 
-    def step_scores(
-        self, doc: Document, mention: MentionSpan, cells: Sequence[EntityCell]
-    ) -> ScoreRow:
+    def step_scores(self, doc: Document, mention: MentionSpan, cells: int) -> ScoreRow:
         text = self._text
-        s_c = [-1.0] * len(cells)
+        s_c = [-1.0] * cells
         for slot in self._holders.get(text, ()):
             s_c[slot] = 1.0
         return ScoreRow(1.0, tuple(s_c), tuple(self._slot_future), float(self._future[text]))
@@ -323,23 +300,22 @@ class StringMatchScoreProvider(ScoreProvider):
     def mention_score(self, doc: Document, mention: MentionSpan) -> float:
         return 1.0
 
-    def coref_score(self, doc: Document, mention: MentionSpan, cell: EntityCell) -> float:
-        if self._normalize(doc, mention) in self._slot_strings[cell.slot]:
+    def coref_score(self, doc: Document, mention: MentionSpan, slot: int) -> float:
+        if self._normalize(doc, mention) in self._slot_strings[slot]:
             return 1.0
         return -1.0
 
-    def remaining_score(self, doc: Document, item: MentionSpan | EntityCell) -> float:
-        if isinstance(item, EntityCell):
-            return self._slot_future[item.slot]
+    def remaining_score(self, doc: Document, item: MentionSpan | int) -> float:
+        if isinstance(item, int):
+            return self._slot_future[item]
         return float(self._future[self._normalize(doc, item)])
 
     def observe_action(
-        self, index: int, mention: MentionSpan, action: Action, cell: EntityCell | None
+        self, index: int, mention: MentionSpan, action: Action, slot: int | None
     ) -> None:
-        if cell is None:
+        if slot is None:
             return
         text = self._text
-        slot = cell.slot
         if action.kind is ActionKind.COREF:
             strings = self._slot_strings[slot]
             if text not in strings:
@@ -444,17 +420,15 @@ class ReplayScoreProvider(ScoreProvider):
         if self._current is None:
             raise ScoreShapeMismatch(self._cursor, f"file holds only {self._cursor} rows")
 
-    def step_scores(
-        self, doc: Document, mention: MentionSpan, cells: Sequence[EntityCell]
-    ) -> ScoreRow:
+    def step_scores(self, doc: Document, mention: MentionSpan, cells: int) -> ScoreRow:
         row = self._current
         if row is None:
             raise ScoreShapeMismatch(0, "score queried before any mention began")
-        if len(row.s_c) != len(cells) or len(row.f_r_cells) != len(cells):
+        if len(row.s_c) != cells or len(row.f_r_cells) != cells:
             raise ScoreShapeMismatch(
                 self._cursor,
                 f"row has {len(row.s_c)} coref and {len(row.f_r_cells)} remaining "
-                f"scores for {len(cells)} cells in memory",
+                f"scores for {cells} cells in memory",
             )
         return row
 
@@ -472,23 +446,15 @@ class RecordingScoreProvider(ScoreProvider):
     def mention_begin(self, index: int, mention: MentionSpan) -> None:
         self.inner.mention_begin(index, mention)
 
-    def step_scores(
-        self, doc: Document, mention: MentionSpan, cells: Sequence[EntityCell]
-    ) -> ScoreRow:
+    def step_scores(self, doc: Document, mention: MentionSpan, cells: int) -> ScoreRow:
         row = self.inner.step_scores(doc, mention, cells)
         self.rows.append(row)
         return row
 
-    def gold_entity_id(self, doc: Document, mention: MentionSpan) -> int | None:
-        return self.inner.gold_entity_id(doc, mention)
-
     def observe_action(
-        self, index: int, mention: MentionSpan, action: Action, cell: EntityCell | None
+        self, index: int, mention: MentionSpan, action: Action, slot: int | None
     ) -> None:
-        self.inner.observe_action(index, mention, action, cell)
-
-    def end_document(self) -> None:
-        self.inner.end_document()
+        self.inner.observe_action(index, mention, action, slot)
 
 
 def propose_top_spans(

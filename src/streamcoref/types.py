@@ -94,6 +94,11 @@ class ScoreShapeMismatch(PicklableError, RuntimeError):
         super().__init__(f"mention {mention_index}: {message}")
 
 
+class WorkerError(RuntimeError):
+    """A run's worker process died, or raised an error that cannot cross
+    its pipe (see pipeline)."""
+
+
 class MemoryPolicy(enum.Enum):
     UNBOUNDED = "unbounded"
     UNBOUNDED_STAR = "ustar"

@@ -6,6 +6,8 @@ hide inside its own test oracle.
 """
 
 import json
+import math
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import permutations
@@ -17,7 +19,6 @@ from streamcoref import (
     Action,
     ActionKind,
     Document,
-    EntityCell,
     MemoryPolicy,
     ScoreProvider,
     ScoreRow,
@@ -155,54 +156,46 @@ def reference_run(doc, mentions, scores, policy):
     """Run one document the way the engine did before batched scoring.
 
     Each step makes 2M + 2 scalar provider queries over M cells, decides
-    with its own copy of the policy rules, and rebuilds frozen tuples of
-    cells. Returns the actions, the score rows the step consulted, and the
-    number of cells in memory after each step.
+    with its own copy of the policy rules, and rebuilds a frozen tuple of
+    each slot's last use. Returns the actions, the score rows the step
+    consulted, and the number of cells in memory after each step.
     """
-    cells: tuple = ()
-    next_id = 0
+    last_use: tuple = ()
     actions, rows, sizes = [], [], []
     scores.start_document(doc, mentions)
     for i, mention in enumerate(mentions):
         scores.mention_begin(i, mention)
+        slots = range(len(last_use))
         row = ScoreRow(
             float(scores.mention_score(doc, mention)),
-            tuple(float(scores.coref_score(doc, mention, c)) for c in cells),
-            tuple(float(scores.remaining_score(doc, c)) for c in cells),
+            tuple(float(scores.coref_score(doc, mention, k)) for k in slots),
+            tuple(float(scores.remaining_score(doc, k)) for k in slots),
             float(scores.remaining_score(doc, mention)),
         )
         rows.append(row)
-        action = _reference_decide(cells, row, policy)
-        touched = None
-        if action.kind is ActionKind.COREF:
-            old = cells[action.cell]
-            touched = EntityCell(old.cell_id, old.slot, i, old.gold_entity_id)
-            cells = cells[: action.cell] + (touched,) + cells[action.cell + 1 :]
-        elif action.kind in (ActionKind.NEW_ENTITY, ActionKind.EVICT):
-            slot = len(cells) if action.cell is None else action.cell
-            touched = EntityCell(next_id, slot, i, scores.gold_entity_id(doc, mention))
-            next_id += 1
-            cells = cells[:slot] + (touched,) + cells[slot + 1 :]
+        action = _reference_decide(last_use, row, policy)
+        slot = len(last_use) if action.kind is ActionKind.NEW_ENTITY else action.cell
+        if slot is not None:
+            last_use = last_use[:slot] + (i,) + last_use[slot + 1 :]
         actions.append(action)
-        sizes.append(len(cells))
-        scores.observe_action(i, mention, action, touched)
-    scores.end_document()
+        sizes.append(len(last_use))
+        scores.observe_action(i, mention, action, slot)
     return actions, rows, sizes
 
 
-def _reference_decide(cells, row, policy) -> Action:
-    if cells:
-        top = max(range(len(cells)), key=lambda k: row.s_c[k])
+def _reference_decide(last_use, row, policy) -> Action:
+    if last_use:
+        top = max(range(len(last_use)), key=lambda k: row.s_c[k])
         if row.s_c[top] > 0.0:
             return Action.coref(top)
     if policy.policy is MemoryPolicy.UNBOUNDED_STAR:
         return Action.new_entity()
-    if policy.capacity is None or len(cells) < policy.capacity:
+    if policy.capacity is None or len(last_use) < policy.capacity:
         return Action.new_entity() if row.s_m > 0.0 else Action.ignore_invalid()
     if policy.policy is MemoryPolicy.LEARNED_BOUNDED:
-        candidates = list(range(len(cells)))
+        candidates = list(range(len(last_use)))
     else:
-        candidates = [min(range(len(cells)), key=lambda k: cells[k].last_use_ordinal)]
+        candidates = [min(range(len(last_use)), key=last_use.__getitem__)]
     vector = [row.f_r_cells[k] for k in candidates] + [row.f_r_mention, row.s_m]
     d = min(range(len(vector)), key=vector.__getitem__)
     if d < len(candidates):
@@ -210,6 +203,51 @@ def _reference_decide(cells, row, policy) -> Action:
     if d == len(candidates):
         return Action.ignore_capacity()
     return Action.ignore_invalid()
+
+
+class ReferenceGold(ScoreProvider):
+    """Gold scores worked out per query from the gold clusters.
+
+    A remaining score is the entity's gold mention count less its
+    mentions processed before the current step, counted by bisecting the
+    entity's positions in the processing order. Each slot's entity is the
+    one of the mention the run last reported creating or replacing the
+    slot, kept here in a map of this class's own.
+    """
+
+    def start_document(self, doc, mentions):
+        self.entity = {m: c.entity_id for c in doc.gold_clusters for m in c.mentions}
+        self.size = {c.entity_id: len(c.mentions) for c in doc.gold_clusters}
+        self.positions = defaultdict(list)
+        for i, m in enumerate(mentions):
+            if m in self.entity:
+                self.positions[self.entity[m]].append(i)
+        self.index = 0
+        self.slot_entity = {}
+
+    def mention_begin(self, index, mention):
+        self.index = index
+
+    def _remaining(self, ent):
+        if ent is None:
+            return 0.0
+        return float(self.size[ent] - bisect_left(self.positions[ent], self.index))
+
+    def mention_score(self, doc, mention):
+        return math.inf if mention in self.entity else -1.0
+
+    def coref_score(self, doc, mention, slot):
+        ent = self.entity.get(mention)
+        return 1.0 if ent is not None and self.slot_entity[slot] == ent else -1.0
+
+    def remaining_score(self, doc, item):
+        if isinstance(item, int):
+            return self._remaining(self.slot_entity[item])
+        return self._remaining(self.entity.get(item))
+
+    def observe_action(self, index, mention, action, slot):
+        if action.kind in (ActionKind.NEW_ENTITY, ActionKind.EVICT):
+            self.slot_entity[slot] = self.entity.get(mention)
 
 
 class ReferenceStringMatch(ScoreProvider):
@@ -239,22 +277,22 @@ class ReferenceStringMatch(ScoreProvider):
     def mention_score(self, doc, mention):
         return 1.0
 
-    def coref_score(self, doc, mention, cell):
-        return 1.0 if self._text(doc, mention) in self.strings.get(cell.cell_id, ()) else -1.0
+    def coref_score(self, doc, mention, slot):
+        return 1.0 if self._text(doc, mention) in self.strings[slot] else -1.0
 
     def remaining_score(self, doc, item):
-        if isinstance(item, EntityCell):
-            return float(sum(self.future[s] for s in self.strings.get(item.cell_id, ())))
+        if isinstance(item, int):
+            return float(sum(self.future[s] for s in self.strings[item]))
         return float(self.future[self._text(doc, item)])
 
-    def observe_action(self, index, mention, action, cell):
-        if cell is None:
+    def observe_action(self, index, mention, action, slot):
+        if slot is None:
             return
         text = self._text(self.doc, mention)
         if action.kind is ActionKind.COREF:
-            self.strings[cell.cell_id].add(text)
+            self.strings[slot].add(text)
         else:
-            self.strings[cell.cell_id] = {text}
+            self.strings[slot] = {text}
 
 
 # ---------------------------------------------------------------------------

@@ -296,22 +296,16 @@ class CountingScores(ScoreProvider):
         self._count(1)
         return self.inner.mention_score(doc, mention)
 
-    def coref_score(self, doc, mention, cell):
+    def coref_score(self, doc, mention, slot):
         self._count(1)
-        return self.inner.coref_score(doc, mention, cell)
+        return self.inner.coref_score(doc, mention, slot)
 
     def remaining_score(self, doc, item):
         self._count(1)
         return self.inner.remaining_score(doc, item)
 
-    def gold_entity_id(self, doc, mention):
-        return self.inner.gold_entity_id(doc, mention)
-
-    def observe_action(self, index, mention, action, cell):
-        self.inner.observe_action(index, mention, action, cell)
-
-    def end_document(self):
-        self.inner.end_document()
+    def observe_action(self, index, mention, action, slot):
+        self.inner.observe_action(index, mention, action, slot)
 
 
 @criterion("6b. every step reads at most 2 * capacity + 2 score values, 1k to 100k mentions")

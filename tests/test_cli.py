@@ -6,6 +6,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -423,17 +424,21 @@ def _assert_no_child_left():
     ids=["worker-exits", "worker-raises", "error-not-picklable"],
 )
 def test_failed_worker_ends_the_run(
-    tmp_path, three_chunk_corpus, monkeypatch, pool_deadline, how, error, message
+    tmp_path, three_chunk_corpus, monkeypatch, capsys, pool_deadline, how, error, message
 ):
     from streamcoref import pipeline
 
     monkeypatch.setattr(pipeline, "run_chunk", _second_chunk_fails(how))
-    expected = pipeline.WorkerError if error == "WorkerError" else KeyError
     out = tmp_path / "out"
     out.mkdir()
-    with pytest.raises(expected, match=message):
-        run_cli("run", three_chunk_corpus, "--jobs", 2, "--out", out / "pred.jsonl",
-                "--trace", out / "trace.jsonl", "--manifest", out / "manifest.json")
+    argv = ("run", three_chunk_corpus, "--jobs", 2, "--out", out / "pred.jsonl",
+            "--trace", out / "trace.jsonl", "--manifest", out / "manifest.json")
+    if error == "WorkerError":
+        assert run_cli(*argv) == 6
+        assert re.fullmatch(f"error: {message}.*\n", capsys.readouterr().err)
+    else:
+        with pytest.raises(KeyError, match=message):
+            run_cli(*argv)
     assert list(out.iterdir()) == []  # no output and no temporary file
     _assert_no_child_left()
 
@@ -947,6 +952,8 @@ def test_oracle_without_gold_mentions_is_fully_trackable(tmp_path, capsys):
         ("run", "{corpus}", "--proposal-ratio", "-1"),
         ("run", "{corpus}", "--proposal-ratio", "nan"),
         ("analyze", "{corpus}", "--buckets", "0"),
+        ("run", "{corpus}", "--jobs", "0"),
+        ("run", "{corpus}", "--jobs", "-1"),
     ],
 )
 def test_config_errors_exit_3(corpus, argv):
@@ -960,6 +967,158 @@ def test_bad_jobs_env_exit_3(corpus, monkeypatch, capsys):
     monkeypatch.setenv("COREF_JOBS", "abc")
     assert run_cli("run", path) == 3
     assert "COREF_JOBS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_jobs_env_below_one_exit_3(corpus, monkeypatch, capsys, value):
+    _, path = corpus
+    monkeypatch.setenv("COREF_JOBS", value)
+    assert run_cli("run", path) == 3
+    assert f"COREF_JOBS must be at least 1, got {value}" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the fault matrix: output targets that are absent, regular files, symlinks,
+# an input or another output, under runs that must fail before writing
+
+
+def _tree(root):
+    """Every path under root with its type and content (a link's target)."""
+    out = {}
+    for path in sorted(root.rglob("*")):
+        if path.is_symlink():
+            out[path] = ("link", os.readlink(path))
+        elif path.is_dir():
+            out[path] = ("dir", None)
+        else:
+            out[path] = ("file", path.read_bytes())
+    return out
+
+
+def _target(tmp_path, kind):
+    """An output path that is absent, a regular file, or a symlink to one."""
+    path = tmp_path / "pred.jsonl"
+    if kind == "regular":
+        path.write_text("old\n")
+    elif kind == "symlink":
+        (tmp_path / "real.jsonl").write_text("old\n")
+        path.symlink_to("real.jsonl")
+    return path
+
+
+TARGET_KINDS = ["absent", "regular", "symlink"]
+
+
+@pytest.mark.parametrize("kind", TARGET_KINDS)
+@pytest.mark.parametrize(
+    "flags, env, message",
+    [
+        (("--jobs", "0"), None, "--jobs must be at least 1, got 0"),
+        (("--jobs", "-1"), None, "--jobs must be at least 1, got -1"),
+        ((), "0", "COREF_JOBS must be at least 1, got 0"),
+    ],
+    ids=["jobs-0", "jobs-negative", "env-0"],
+)
+def test_jobs_below_one_writes_nothing(
+    tmp_path, corpus, monkeypatch, capsys, kind, flags, env, message
+):
+    _, path = corpus
+    out = _target(tmp_path, kind)
+    if env is not None:
+        monkeypatch.setenv("COREF_JOBS", env)
+    before = _tree(tmp_path)
+    assert run_cli("run", path, *flags, "--out", out, "--trace", tmp_path / "trace.jsonl") == 3
+    assert _tree(tmp_path) == before
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.skipif(
+    not _LINUX or len(os.sched_getaffinity(0)) < 2,
+    reason="the failing run_chunk reaches forked workers only, and --jobs 2 needs 2 CPUs",
+)
+@pytest.mark.parametrize("kind", TARGET_KINDS)
+def test_dead_worker_writes_nothing(
+    tmp_path, three_chunk_corpus, monkeypatch, capsys, pool_deadline, kind
+):
+    from streamcoref import pipeline
+
+    monkeypatch.setattr(pipeline, "run_chunk", _second_chunk_fails(lambda: os._exit(3)))
+    out = _target(tmp_path, kind)
+    before = _tree(tmp_path)
+    assert run_cli("run", three_chunk_corpus, "--jobs", 2, "--out", out,
+                   "--manifest", tmp_path / "manifest.json") == 6
+    assert _tree(tmp_path) == before
+    assert re.fullmatch(r"error: worker process \d+ exited with code 3 before the run ended\n",
+                        capsys.readouterr().err)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("run", "{corpus}", "--out", "{corpus}"), "--out {corpus} and input {corpus}"),
+        (("run", "{corpus}", "--trace", "{corpus_link}"),
+         "--trace {corpus_link} and input {corpus}"),
+        (("run", "{corpus}", "--manifest", "{corpus_hard}"),
+         "--manifest {corpus_hard} and input {corpus}"),
+        (("run", "{corpus}", "--scorer", "replay:{rows}", "--out", "{rows}"),
+         "--out {rows} and --scorer replay:{rows}"),
+        (("run", "{corpus}", "--scorer", "replay:{rows}", "--record-scores", "{rows_link}"),
+         "--record-scores {rows_link} and --scorer replay:{rows}"),
+        (("run", "{corpus}", "--out", "{pred}", "--trace", "{pred}"),
+         "--trace {pred} and --out {pred}"),
+        (("run", "{corpus}", "--out", "{pred_link}", "--manifest", "{pred}"),
+         "--manifest {pred} and --out {pred_link}"),
+        (("score", "{corpus}", "{pred}", "--json", "{pred}"), "--json {pred} and pred {pred}"),
+        (("oracle", "{corpus}", "--policy", "lb", "--capacity", "2", "--out", "{corpus_link}"),
+         "--out {corpus_link} and input {corpus}"),
+    ],
+    ids=["out-is-input", "trace-links-to-input", "manifest-hard-links-input",
+         "out-is-replay", "rows-link-to-replay", "trace-is-out", "manifest-is-linked-out",
+         "json-is-pred", "oracle-out-links-to-input"],
+)
+def test_output_that_is_an_input_or_output_exit_3(tmp_path, corpus, capsys, argv, message):
+    _, path = corpus
+    names = {
+        "corpus": path,
+        "rows": tmp_path / "rows.jsonl",
+        "pred": tmp_path / "pred.jsonl",
+        "corpus_link": tmp_path / "corpus-link.jsonl",
+        "corpus_hard": tmp_path / "corpus-hard.jsonl",
+        "rows_link": tmp_path / "rows-link.jsonl",
+        "pred_link": tmp_path / "pred-link.jsonl",
+    }
+    assert run_cli("run", path, "--out", names["pred"], "--record-scores", names["rows"]) == 0
+    names["corpus_link"].symlink_to(path)
+    os.link(path, names["corpus_hard"])
+    names["rows_link"].symlink_to(names["rows"])
+    names["pred_link"].symlink_to(names["pred"])
+    capsys.readouterr()
+    before = _tree(tmp_path)
+    assert run_cli(*[a.format(**names) for a in argv]) == 3
+    assert _tree(tmp_path) == before
+    err = capsys.readouterr().err
+    assert err == f"error: {message.format(**names)} are the same file\n"
+
+
+def test_symlinked_outputs_write_through_the_link(tmp_path, corpus):
+    _, path = corpus
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    assert run_cli("run", path, "--out", plain / "pred.jsonl", "--trace", plain / "trace.jsonl") == 0
+    real = tmp_path / "real"
+    real.mkdir()
+    (real / "pred.jsonl").write_text("old\n")
+    (tmp_path / "pred.jsonl").symlink_to(real / "pred.jsonl")
+    (tmp_path / "trace.jsonl").symlink_to(real / "trace.jsonl")  # dangling until the run
+    before = _tree(tmp_path)
+    assert run_cli("run", path, "--out", tmp_path / "pred.jsonl",
+                   "--trace", tmp_path / "trace.jsonl") == 0
+    after = _tree(tmp_path)
+    changed = {p for p in before.keys() | after.keys() if before.get(p) != after.get(p)}
+    assert changed == {real / "pred.jsonl", real / "trace.jsonl"}
+    for name in ("pred.jsonl", "trace.jsonl"):
+        assert (real / name).read_bytes() == (plain / name).read_bytes()
 
 
 def test_parse_errors_exit_2(tmp_path, capsys):
@@ -1136,7 +1295,7 @@ def test_policy_choices_are_the_memory_policies():
 # of them, as it did when __init__ imported every submodule.
 PUBLIC_NAMES = """
 Action ActionKind ClusteringResult ConfigError CorpusStats CountAccumulator
-Document EmptyClusterError EntityCell GoldCluster GoldScoreProvider
+Document EmptyClusterError GoldCluster GoldScoreProvider
 MalformedColumnError MemoryPolicy MemoryState MentionSpan
 OracleStep PRF ParseError PolicyConfig RecordingScoreProvider
 ReplayScoreProvider RunStats SchemaError ScoreProvider ScoreReport ScoreRow

@@ -12,7 +12,6 @@ from streamcoref import (
     ScoreRow,
     ActionKind,
     Document,
-    EntityCell,
     GoldCluster,
     MemoryPolicy,
     MemoryState,
@@ -43,17 +42,11 @@ def rb(capacity):
     return PolicyConfig(MemoryPolicy.RULE_BOUNDED, capacity=capacity)
 
 
-def make_cell(slot, ordinal=0) -> EntityCell:
-    return EntityCell(cell_id=slot, slot=slot, last_use_ordinal=ordinal)
-
-
 def make_state(ordinals, capacity) -> MemoryState:
-    cells = tuple(make_cell(i, ordinal=o) for i, o in enumerate(ordinals))
     return MemoryState(
-        cells=cells,
+        last_use=list(ordinals),
         capacity=capacity,
         next_ordinal=max(ordinals, default=-1) + 1,
-        next_cell_id=len(cells),
     )
 
 
@@ -160,16 +153,15 @@ def test_step_ignores_advance_time_but_not_memory():
     touched = []
 
     class Observed(ReplayScoreProvider):
-        def observe_action(self, index, mention, action, cell):
-            touched.append(cell)
+        def observe_action(self, index, mention, action, slot):
+            touched.append(slot)
 
     rows = [ScoreRow(-1.0, (), (), 0.0), ScoreRow(1.0, (), (), 1.0)]
     result = run_document(TINY, SPANS[:2], Observed(rows), UNBOUNDED)
     assert result.stats.actions == (Action.ignore_invalid(), Action.new_entity())
-    # memory stayed empty through the ignore, whose step still took ordinal 0
+    # memory stayed empty through the ignore, and the new entity took slot 0
     assert result.stats.avg_entities_in_memory == 0.5
-    assert touched[0] is None
-    assert (touched[1].slot, touched[1].last_use_ordinal) == (0, 1)
+    assert touched == [None, 0]
 
 
 def test_eviction_reinitializes_the_slot():

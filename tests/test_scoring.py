@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from streamcoref import (
     Action,
     Document,
-    EntityCell,
     GoldCluster,
     MemoryPolicy,
     MentionSpan,
@@ -31,15 +30,6 @@ from streamcoref.ingest import ParseError, order_mentions
 from streamcoref.scoring import dump_score_rows, iter_score_rows, load_score_rows
 
 
-def cell(slot=0, entity=None, cell_id=None) -> EntityCell:
-    return EntityCell(
-        cell_id=cell_id if cell_id is not None else slot,
-        slot=slot,
-        last_use_ordinal=0,
-        gold_entity_id=entity,
-    )
-
-
 # ---------------------------------------------------------------------------
 # gold provider
 
@@ -52,15 +42,25 @@ GOLD_DOC = Document(
 )
 
 
-def test_gold_membership_scores():
+def gold_with_slots():
+    """A gold provider whose slots 0, 1 and 2 hold entity 0, entity 1 and
+    a span outside every gold cluster (as ustar keeps them)."""
     provider = gold_scorer(GOLD_DOC)
+    for slot, span in enumerate((CHAIN[0], MentionSpan(5, 5), MentionSpan(7, 7))):
+        provider.observe_action(slot, span, Action.new_entity(), slot)
+    return provider
+
+
+def test_gold_membership_scores():
+    provider = gold_with_slots()
     provider.mention_begin(0, CHAIN[0])
     assert provider.mention_score(GOLD_DOC, CHAIN[0]) == math.inf
     assert provider.mention_score(GOLD_DOC, MentionSpan(7, 7)) == -1.0
-    assert provider.coref_score(GOLD_DOC, CHAIN[0], cell(entity=0)) == 1.0
-    assert provider.coref_score(GOLD_DOC, CHAIN[0], cell(entity=1)) == -1.0
-    assert provider.coref_score(GOLD_DOC, MentionSpan(7, 7), cell(entity=0)) == -1.0
-    assert provider.coref_score(GOLD_DOC, CHAIN[0], cell(entity=None)) == -1.0
+    assert provider.coref_score(GOLD_DOC, CHAIN[0], 0) == 1.0
+    assert provider.coref_score(GOLD_DOC, CHAIN[0], 1) == -1.0
+    assert provider.coref_score(GOLD_DOC, MentionSpan(7, 7), 0) == -1.0
+    assert provider.coref_score(GOLD_DOC, CHAIN[0], 2) == -1.0
+    assert provider.coref_score(GOLD_DOC, MentionSpan(7, 7), 2) == -1.0
 
 
 def test_gold_remaining_counts_down_as_mentions_pass():
@@ -74,20 +74,25 @@ def test_gold_remaining_counts_down_as_mentions_pass():
 
 
 def test_gold_remaining_for_cells_and_invalid_spans():
-    provider = gold_scorer(GOLD_DOC)
+    provider = gold_with_slots()
     for i, m in enumerate(CHAIN[:4]):
         provider.mention_begin(i, m)
     # three mentions fully seen, the fourth is in flight
-    assert provider.remaining_score(GOLD_DOC, cell(entity=0)) == 2.0
-    assert provider.remaining_score(GOLD_DOC, cell(entity=1)) == 1.0
+    assert provider.remaining_score(GOLD_DOC, 0) == 2.0
+    assert provider.remaining_score(GOLD_DOC, 1) == 1.0
     assert provider.remaining_score(GOLD_DOC, MentionSpan(7, 7)) == 0.0
-    assert provider.remaining_score(GOLD_DOC, cell(entity=None)) == 0.0
+    assert provider.remaining_score(GOLD_DOC, 2) == 0.0
 
 
-def test_gold_entity_id_hint():
-    provider = gold_scorer(GOLD_DOC)
-    assert provider.gold_entity_id(GOLD_DOC, CHAIN[2]) == 0
-    assert provider.gold_entity_id(GOLD_DOC, MentionSpan(7, 7)) is None
+def test_gold_eviction_replaces_the_slot_entity():
+    provider = gold_with_slots()
+    provider.observe_action(3, MentionSpan(5, 5), Action.evict(0), 0)
+    provider.mention_begin(0, CHAIN[0])
+    assert provider.coref_score(GOLD_DOC, CHAIN[0], 0) == -1.0
+    assert provider.coref_score(GOLD_DOC, MentionSpan(5, 5), 0) == 1.0
+    assert provider.step_scores(GOLD_DOC, MentionSpan(5, 5), 3) == ScoreRow(
+        math.inf, (1.0, 1.0, -1.0), (1.0, 1.0, 0.0), 1.0
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -107,22 +112,22 @@ def sm_provider(**cfg):
 def test_string_match_normalization_links_variants():
     provider = sm_provider(lowercase=True, strip_determiners=True)
     provider.mention_begin(0, SM_MENTIONS[0])
-    provider.observe_action(0, SM_MENTIONS[0], Action.new_entity(), cell())
+    provider.observe_action(0, SM_MENTIONS[0], Action.new_entity(), 0)
     provider.mention_begin(1, SM_MENTIONS[1])
-    assert provider.coref_score(SM_DOC, SM_MENTIONS[1], cell()) == 1.0
+    assert provider.coref_score(SM_DOC, SM_MENTIONS[1], 0) == 1.0
     provider.mention_begin(2, SM_MENTIONS[2])
-    assert provider.coref_score(SM_DOC, SM_MENTIONS[2], cell()) == 1.0
+    assert provider.coref_score(SM_DOC, SM_MENTIONS[2], 0) == 1.0
 
 
 def test_string_match_case_sensitivity_configurable():
     provider = sm_provider(lowercase=False, strip_determiners=True)
     provider.mention_begin(0, SM_MENTIONS[0])
-    provider.observe_action(0, SM_MENTIONS[0], Action.new_entity(), cell())
+    provider.observe_action(0, SM_MENTIONS[0], Action.new_entity(), 0)
     provider.mention_begin(1, SM_MENTIONS[1])
-    assert provider.coref_score(SM_DOC, SM_MENTIONS[1], cell()) == 1.0
+    assert provider.coref_score(SM_DOC, SM_MENTIONS[1], 0) == 1.0
     provider.mention_begin(2, SM_MENTIONS[2])
     # "President" != "president" without lowercasing
-    assert provider.coref_score(SM_DOC, SM_MENTIONS[2], cell()) == -1.0
+    assert provider.coref_score(SM_DOC, SM_MENTIONS[2], 0) == -1.0
 
 
 def test_string_match_remaining_counts_future_copies():
@@ -130,12 +135,12 @@ def test_string_match_remaining_counts_future_copies():
     provider.mention_begin(0, SM_MENTIONS[0])
     # two more "president" mentions lie ahead
     assert provider.remaining_score(SM_DOC, SM_MENTIONS[0]) == 2.0
-    provider.observe_action(0, SM_MENTIONS[0], Action.new_entity(), cell())
+    provider.observe_action(0, SM_MENTIONS[0], Action.new_entity(), 0)
     provider.mention_begin(1, SM_MENTIONS[1])
-    assert provider.remaining_score(SM_DOC, cell()) == 1.0
+    assert provider.remaining_score(SM_DOC, 0) == 1.0
     assert provider.remaining_score(SM_DOC, SM_MENTIONS[1]) == 1.0
     provider.mention_begin(2, SM_MENTIONS[2])
-    assert provider.remaining_score(SM_DOC, cell()) == 0.0
+    assert provider.remaining_score(SM_DOC, 0) == 0.0
 
 
 def test_string_match_mentions_always_valid():
@@ -184,15 +189,15 @@ def test_replay_serves_rows_in_order():
     ]
     provider = ReplayScoreProvider(rows)
     provider.mention_begin(0, MentionSpan(0, 0))
-    assert provider.step_scores(SM_DOC, MentionSpan(0, 0), []) is rows[0]
+    assert provider.step_scores(SM_DOC, MentionSpan(0, 0), 0) is rows[0]
     provider.mention_begin(1, MentionSpan(1, 1))
-    assert provider.step_scores(SM_DOC, MentionSpan(1, 1), [cell(slot=0)]) is rows[1]
+    assert provider.step_scores(SM_DOC, MentionSpan(1, 1), 1) is rows[1]
 
 
 def test_replay_query_before_begin_fails():
     provider = ReplayScoreProvider([ScoreRow(1.0, (), (), 1.0)])
     with pytest.raises(ScoreShapeMismatch) as err:
-        provider.step_scores(SM_DOC, MentionSpan(0, 0), [])
+        provider.step_scores(SM_DOC, MentionSpan(0, 0), 0)
     assert "before any mention began" in str(err.value)
 
 
@@ -235,7 +240,7 @@ def test_replay_from_file_reads_rows_as_mentions_begin(tmp_path):
     path.write_text(f"{good}\n\n{good}\nnot json\n", encoding="utf-8")
     provider = ReplayScoreProvider.from_file(path)
     provider.mention_begin(0, MentionSpan(0, 0))
-    row = provider.step_scores(SM_DOC, MentionSpan(0, 0), [])
+    row = provider.step_scores(SM_DOC, MentionSpan(0, 0), 0)
     assert row == ScoreRow(1.0, (), (), 1.0)
     provider.mention_begin(1, MentionSpan(1, 1))
     with pytest.raises(ParseError) as err:  # the bad line is only met here
@@ -313,14 +318,14 @@ def test_replay_row_must_match_memory_exactly():
     provider = ReplayScoreProvider(rows)
     provider.mention_begin(0, MentionSpan(0, 0))
     with pytest.raises(ScoreShapeMismatch) as err:
-        provider.step_scores(SM_DOC, MentionSpan(0, 0), [])  # one cell too many
+        provider.step_scores(SM_DOC, MentionSpan(0, 0), 0)  # one cell too many
     assert err.value.mention_index == 0
     provider.mention_begin(1, MentionSpan(1, 1))
     with pytest.raises(ScoreShapeMismatch):
-        provider.step_scores(SM_DOC, MentionSpan(1, 1), [cell(slot=0)])
+        provider.step_scores(SM_DOC, MentionSpan(1, 1), 1)
     provider = ReplayScoreProvider(rows)
     provider.mention_begin(0, MentionSpan(0, 0))
-    assert provider.step_scores(SM_DOC, MentionSpan(0, 0), [cell(slot=0)]) is rows[0]
+    assert provider.step_scores(SM_DOC, MentionSpan(0, 0), 1) is rows[0]
 
 
 def test_replay_rows_left_over_fail():

@@ -10,8 +10,9 @@ from collections import Counter
 
 import pytest
 
-from conftest import ReferenceStringMatch, reference_run
+from conftest import ReferenceGold, ReferenceStringMatch, reference_run
 from streamcoref import (
+    ActionKind,
     MemoryPolicy,
     PolicyConfig,
     RecordingScoreProvider,
@@ -57,7 +58,7 @@ CORPUS = _corpus()
 
 def _providers(doc):
     """Every built-in provider as (label, provider, reference provider)."""
-    out = [("gold", gold_scorer(doc), gold_scorer(doc))]
+    out = [("gold", gold_scorer(doc), ReferenceGold())]
     for cfg in MATCH_CONFIGS:
         out.append(
             (
@@ -93,14 +94,8 @@ class CompositionCheck(ScoreProvider):
         self.steps += 1
         return row
 
-    def gold_entity_id(self, doc, mention):
-        return self.inner.gold_entity_id(doc, mention)
-
-    def observe_action(self, index, mention, action, cell):
-        self.inner.observe_action(index, mention, action, cell)
-
-    def end_document(self):
-        self.inner.end_document()
+    def observe_action(self, index, mention, action, slot):
+        self.inner.observe_action(index, mention, action, slot)
 
 
 class ScalarOnly(ScoreProvider):
@@ -121,22 +116,16 @@ class ScalarOnly(ScoreProvider):
         self.queries += 1
         return self.inner.mention_score(doc, mention)
 
-    def coref_score(self, doc, mention, cell):
+    def coref_score(self, doc, mention, slot):
         self.queries += 1
-        return self.inner.coref_score(doc, mention, cell)
+        return self.inner.coref_score(doc, mention, slot)
 
     def remaining_score(self, doc, item):
         self.queries += 1
         return self.inner.remaining_score(doc, item)
 
-    def gold_entity_id(self, doc, mention):
-        return self.inner.gold_entity_id(doc, mention)
-
-    def observe_action(self, index, mention, action, cell):
-        self.inner.observe_action(index, mention, action, cell)
-
-    def end_document(self):
-        self.inner.end_document()
+    def observe_action(self, index, mention, action, slot):
+        self.inner.observe_action(index, mention, action, slot)
 
 
 @pytest.mark.parametrize("policy", POLICIES, ids=_policy_id)
@@ -148,13 +137,26 @@ def test_batched_rows_equal_scalar_composition(policy):
             assert check.steps == len(mentions)
 
 
+def _evicted_slot_reused(actions):
+    """Whether a mention joins a slot after that slot's cell was evicted."""
+    evicted = set()
+    for action in actions:
+        if action.kind is ActionKind.EVICT:
+            evicted.add(action.cell)
+        elif action.kind is ActionKind.COREF and action.cell in evicted:
+            return True
+    return False
+
+
 @pytest.mark.parametrize("policy", POLICIES, ids=_policy_id)
 def test_run_document_matches_per_cell_loop(policy):
+    reused = False
     for doc, mentions in CORPUS:
         for label, provider, reference in _providers(doc):
             recorder = RecordingScoreProvider(provider)
             result = run_document(doc, mentions, recorder, policy)
             actions, rows, sizes = reference_run(doc, mentions, reference, policy)
+            reused |= label == "gold" and _evicted_slot_reused(actions)
             assert list(result.stats.actions) == actions, label
             assert _rows_json(recorder.rows) == _rows_json(rows), label
             assert result.predicted_clusters == tuple(
@@ -164,6 +166,9 @@ def test_run_document_matches_per_cell_loop(policy):
             assert result.stats.avg_entities_in_memory == (
                 sum(sizes) / len(sizes) if sizes else 0.0
             )
+    if policy.capacity == 2:
+        # the gold runs put a new entity in an evicted slot and join it again
+        assert reused
 
 
 def _count_queries(provider):

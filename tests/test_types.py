@@ -14,7 +14,6 @@ from streamcoref import (
     ClusteringResult,
     ConfigError,
     Document,
-    EntityCell,
     GoldCluster,
     MemoryPolicy,
     MemoryState,
@@ -323,10 +322,9 @@ def test_replace_keeps_constructor_checks():
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: EntityCell(cell_id=3, slot=1, last_use_ordinal=7, gold_entity_id=2),
-        lambda: MemoryState([EntityCell(0, 0, 0)], capacity=2, next_ordinal=1, next_cell_id=1),
+        lambda: MemoryState([0], capacity=2, next_ordinal=1),
     ],
-    ids=["EntityCell", "MemoryState"],
+    ids=["MemoryState"],
 )
 def test_mutable_records(make):
     record, twin = make(), make()
