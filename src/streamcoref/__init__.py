@@ -29,7 +29,6 @@ _EXPORTS = {
     ),
     "engine": (
         "ClusteringResult",
-        "MemoryState",
         "RunStats",
         "clusters_from_actions",
         "decide",

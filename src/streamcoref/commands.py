@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 from contextlib import closing, contextmanager
 from itertools import chain
 from pathlib import Path
@@ -22,11 +23,11 @@ from .ingest import (
     MentionSpan,
     ParseError,
     SourceLine,
+    document_to_jsonl,
     iter_documents,
     json_line,
     order_mentions,
     read_chunks,
-    write_jsonl,
 )
 from .types import (
     ConfigError,
@@ -86,7 +87,8 @@ def _parse_scorer(spec: str) -> tuple[str, object]:
 def _check_outputs(
     outputs: Iterable[tuple[str, str | None]], inputs: Iterable[tuple[str, str]]
 ) -> None:
-    """Raise ConfigError when an output names an input or another output.
+    """Raise ConfigError when an output is a directory, or names an input
+    or another output.
 
     Both hold (what the user named it by, path) pairs: a flag, or "input
     PATH". An output whose path is None is not written. Paths match when
@@ -94,13 +96,15 @@ def _check_outputs(
     or, where both exist, are the same file (os.path.samefile, so through
     hard links). Run it before any input is read: a run would otherwise
     replace an input with its output, or fail on two outputs staged at one
-    path.
+    path, or on a directory, once all its work is done.
     """
     seen = [(name, path, os.path.realpath(path)) for name, path in inputs]
     for flag, path in outputs:
         if not path:
             continue
         real = os.path.realpath(path)
+        if os.path.isdir(real):
+            raise ConfigError(f"{flag} {path} is a directory")
         for other, other_path, other_real in seen:
             if real == other_real or _same_file(path, other_path):
                 raise ConfigError(f"{flag} {path} and {other} are the same file")
@@ -120,35 +124,56 @@ def _inputs(paths: list[str]) -> list[tuple[str, str]]:
 
 @contextmanager
 def _staged(paths: dict[str, str | None]) -> Iterator[dict[str, TextIO]]:
-    """Open a temporary file beside each given target path.
+    """Open each given output path for writing; every output goes through here.
 
-    The files replace their targets only when the block completes; on any
-    error they are deleted, so a failed run leaves no output behind. A
-    target that is a symlink is resolved first, so the file it points to
-    is the one replaced and the link stays. The files are opened with
-    newline="", so what is written is what lands on disk (the csv
-    module's own line ends included).
+    A target that is a symlink is resolved first, so the file it points to
+    is the one written and the link stays. A target that is absent or a
+    regular file is staged: a temporary file beside it replaces it only
+    when the block completes, and every temporary file not yet moved into
+    place is deleted on any error, a failed replace included, so a failed
+    run leaves no such output behind. Any other target (a FIFO, a
+    character device) is opened in place and written as the run goes, so
+    it is not atomic. The files are opened with newline="", so what is
+    written is what lands on disk (the csv module's own line ends
+    included).
     """
     files: dict[str, TextIO] = {}
-    targets: dict[str, str] = {}
+    staged: dict[str, str] = {}  # temporary path -> its target, until replaced
     done = False
     try:
         for key, path in paths.items():
-            if path:
-                target = targets[key] = os.path.realpath(path)
+            if not path:
+                continue
+            target = os.path.realpath(path)
+            if _replaceable(target):
                 head, name = os.path.split(target)
                 tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
                 files[key] = open(tmp, "x", encoding="utf-8", newline="")
+                staged[tmp] = target
+            else:
+                files[key] = open(target, "w", encoding="utf-8", newline="")
         yield files
         done = True
     finally:
-        for fh in files.values():
-            fh.close()
-        for key, fh in files.items():
+        try:
+            for fh in files.values():
+                fh.close()
             if done:
-                os.replace(fh.name, targets[key])
-            else:
-                os.unlink(fh.name)
+                for tmp, target in list(staged.items()):
+                    os.replace(tmp, target)
+                    del staged[tmp]
+        finally:
+            for tmp in staged:
+                os.unlink(tmp)
+
+
+def _replaceable(target: str) -> bool:
+    """Whether target is absent or a regular file, so a staged file may
+    take its place."""
+    try:
+        return stat.S_ISREG(os.stat(target).st_mode)
+    except OSError:  # absent, or its directory is; opening the stage says which
+        return True
 
 
 class _ManifestWriter:
@@ -516,21 +541,20 @@ def cmd_score(args) -> None:
     )
     drop = args.singletons == "drop"
     acc = CountAccumulator()
-    for gold, pred in _aligned_clusters(args.gold, args.pred, args.format):
-        acc.add(gold, pred, drop_singletons=drop)
-        del gold, pred  # released before the next pair is read
-    report = acc.report()
+    with _staged({"--json": args.json}) as files:
+        for gold, pred in _aligned_clusters(args.gold, args.pred, args.format):
+            acc.add(gold, pred, drop_singletons=drop)
+            del gold, pred  # released before the next pair is read
+        report = acc.report()
+        if files:
+            payload = {
+                "muc": vars(report.muc),
+                "b_cubed": vars(report.b_cubed),
+                "ceaf_phi4": vars(report.ceaf_phi4),
+                "conll_f1": report.conll_f1,
+            }
+            files["--json"].write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(_report_table(report))
-    if args.json:
-        payload = {
-            "muc": vars(report.muc),
-            "b_cubed": vars(report.b_cubed),
-            "ceaf_phi4": vars(report.ceaf_phi4),
-            "conll_f1": report.conll_f1,
-        }
-        Path(args.json).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
 
 
 def _check_synth_args(args) -> None:
@@ -560,6 +584,7 @@ def cmd_synth(args) -> None:
     from .synth import synthesize_corpus
 
     _check_synth_args(args)
+    _check_outputs([("--out", args.out)], [])
     docs = synthesize_corpus(
         args.seed,
         args.docs,
@@ -569,7 +594,8 @@ def cmd_synth(args) -> None:
         min_entities=args.min_entities,
         extra_candidates=args.extra_candidates,
     )
-    write_jsonl(docs, args.out)
+    with _staged({"--out": args.out}) as files:
+        files["--out"].writelines(document_to_jsonl(doc) + "\n" for doc in docs)
     print(f"wrote {len(docs)} documents to {args.out}")
 
 

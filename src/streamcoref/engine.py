@@ -23,11 +23,12 @@ strict. Cells keep their slot forever: evict-and-replace swaps the
 occupant but not the position. A cell's "use" is creation, coreference,
 or replacement; reading its scores does not refresh recency.
 
-The memory holds each slot's recency and nothing else; what a cell's
-entity is belongs to the provider (see scoring). Every step asks the
-provider once, for the step's whole ScoreRow given the number of cells,
-whatever the policy ends up needing, so recorded runs always have the
-full replay row shape.
+The memory is one list, last_use: each cell's last-use ordinal in slot
+order, where a step's ordinal is its mention index, so len(last_use) is
+the number of cells. What a cell's entity is belongs to the provider (see
+scoring). Every step asks the provider once, for the step's whole
+ScoreRow given the number of cells, whatever the policy ends up needing,
+so recorded runs always have the full replay row shape.
 """
 
 from __future__ import annotations
@@ -42,52 +43,27 @@ from .types import (
     MemoryPolicy,
     MentionSpan,
     PolicyConfig,
-    Record,
 )
 
 
-class MemoryState(Record):
-    """Memory between steps: each cell's last-use ordinal, in slot order.
-
-    last_use[slot] is the step that created, joined or replaced the slot's
-    cell, so len(last_use) is the number of cells. run_document owns one
-    state per document and advances it in place.
-    """
-
-    __slots__ = _fields = ("last_use", "capacity", "next_ordinal")
-
-    def __init__(
-        self,
-        last_use: list[int] | None = None,
-        capacity: int | None = None,
-        next_ordinal: int = 0,
-    ):
-        self.last_use = [] if last_use is None else last_use
-        self.capacity = capacity
-        self.next_ordinal = next_ordinal
-
-    @property
-    def full(self) -> bool:
-        return self.capacity is not None and len(self.last_use) >= self.capacity
-
-
-def lru_slot(state: MemoryState) -> int:
+def lru_slot(last_use: list[int]) -> int:
     """Slot of the least recently used cell (ordinals are all distinct)."""
-    last_use = state.last_use
     return last_use.index(min(last_use))
 
 
-def decide(state: MemoryState, row: ScoreRow, policy: PolicyConfig) -> Action:
+def decide(last_use: list[int], row: ScoreRow, policy: PolicyConfig) -> Action:
     """Step two: the policy's action for a mention that joined no cell.
 
-    This is the one place that holds the memory policies' rules (see the
-    module docstring); the engine step and the teacher-forcing oracle
-    both decide through it.
+    last_use holds each cell's last-use ordinal in slot order, so its
+    length is the number of cells. This is the one place that holds the
+    memory policies' rules (see the module docstring); the engine step
+    and the teacher-forcing oracle both decide through it.
     """
     kind = policy.policy
     if kind is MemoryPolicy.UNBOUNDED_STAR:
         return Action.new_entity()
-    if kind is MemoryPolicy.UNBOUNDED or not state.full:
+    # PolicyConfig gives every bounded policy a capacity.
+    if kind is MemoryPolicy.UNBOUNDED or len(last_use) < policy.capacity:
         return Action.new_entity() if row.s_m > 0.0 else Action.ignore_invalid()
     # At capacity, forget the candidate with the least remaining value: a
     # cell (evict), the mention (capacity ignore) or the span's validity
@@ -95,45 +71,15 @@ def decide(state: MemoryState, row: ScoreRow, policy: PolicyConfig) -> Action:
     if kind is MemoryPolicy.LEARNED_BOUNDED:
         vector = [*row.f_r_cells, row.f_r_mention, row.s_m]
         d = vector.index(min(vector))
-        if d < len(state.last_use):
+        if d < len(last_use):
             return Action.evict(d)
     else:  # rule-bounded: only the least recently used cell is at stake
-        lru = lru_slot(state)
+        lru = lru_slot(last_use)
         vector = [row.f_r_cells[lru], row.f_r_mention, row.s_m]
         d = vector.index(min(vector))
         if d == 0:
             return Action.evict(lru)
     return Action.ignore_capacity() if d == len(vector) - 2 else Action.ignore_invalid()
-
-
-def _advance(
-    doc: Document,
-    state: MemoryState,
-    mention: MentionSpan,
-    scores: ScoreProvider,
-    policy: PolicyConfig,
-) -> Action:
-    """The step body: one provider query, the decision, memory updated in place."""
-    last_use = state.last_use
-    row = scores.step_scores(doc, mention, len(last_use))
-    ordinal = state.next_ordinal
-    state.next_ordinal = ordinal + 1
-
-    s_c = row.s_c
-    if s_c:
-        best = max(s_c)
-        if best > 0.0:
-            top = s_c.index(best)  # the lowest slot among ties
-            last_use[top] = ordinal
-            return Action.coref(top)
-
-    action = decide(state, row, policy)
-    if action.kind is ActionKind.NEW_ENTITY:
-        last_use.append(ordinal)
-    elif action.kind is ActionKind.EVICT:
-        last_use[action.cell] = ordinal
-    # Ignores advance the step ordinal and leave memory untouched.
-    return action
 
 
 class RunStats(NamedTuple):
@@ -183,32 +129,46 @@ def run_document(
     scores: ScoreProvider,
     policy: PolicyConfig,
 ) -> ClusteringResult:
-    """Run the step body over the mentions of one document, from empty memory.
+    """Run the engine over the mentions of one document, from empty memory.
 
-    Mentions must already be in processing order. The memory is updated
-    in place: a cell is created only by a new entity or an eviction, and
-    a coreference refreshes the cell's recency. Per-mention work is one
-    provider query plus O(capacity) for the bounded policies.
+    Mentions must already be in processing order. The memory, last_use,
+    is updated in place: a new entity appends a cell, and an eviction or
+    a coreference sets its cell's recency to the step's index.
+    Per-mention work is one provider query plus O(capacity) for the
+    bounded policies.
     """
-    state = MemoryState(capacity=policy.capacity)
-    last_use = state.last_use
+    last_use: list[int] = []  # each cell's last-use ordinal, in slot order
     actions: list[Action] = []
     cell_steps = evictions = ignored_cap = ignored_inv = 0
 
     scores.start_document(doc, mentions)
     for i, mention in enumerate(mentions):
         scores.mention_begin(i, mention)
-        action = _advance(doc, state, mention, scores, policy)
+        row = scores.step_scores(doc, mention, len(last_use))
+        s_c = row.s_c
+        best = max(s_c, default=0.0)
+        if best > 0.0:
+            slot = s_c.index(best)  # the lowest slot among ties
+            action = Action.coref(slot)
+            last_use[slot] = i
+        else:
+            action = decide(last_use, row, policy)
+            kind = action.kind
+            if kind is ActionKind.NEW_ENTITY:
+                slot = len(last_use)
+                last_use.append(i)
+            elif kind is ActionKind.EVICT:
+                slot = action.cell
+                last_use[slot] = i
+                evictions += 1
+            else:  # an ignore leaves memory untouched
+                slot = None
+                if kind is ActionKind.IGNORE_CAPACITY:
+                    ignored_cap += 1
+                else:
+                    ignored_inv += 1
         actions.append(action)
         cell_steps += len(last_use)
-        if action.kind is ActionKind.EVICT:
-            evictions += 1
-        elif action.kind is ActionKind.IGNORE_CAPACITY:
-            ignored_cap += 1
-        elif action.kind is ActionKind.IGNORE_INVALID:
-            ignored_inv += 1
-        # The slot created, joined or replaced; None for an ignore.
-        slot = len(last_use) - 1 if action.kind is ActionKind.NEW_ENTITY else action.cell
         scores.observe_action(i, mention, action, slot)
 
     # Tuples built from lists, not generators: see scoring._scores.

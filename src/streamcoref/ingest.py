@@ -3,7 +3,9 @@
 The column format follows the CoNLL-2012 conventions: documents are wrapped
 in ``#begin document (name); part NNN`` / ``#end document`` sentinels, blank
 lines separate sentences, the surface token sits in column 3 and the
-coreference annotation in the last column. Coreference fields combine
+coreference annotation in the last column. Columns are separated by runs
+of ASCII spaces and tabs only, so a token may hold any other character (a
+no-break space, a form feed). Coreference fields combine
 ``(id`` (mention opens here), ``id)`` (mention closes here) and ``(id)``
 (single-token mention), with ``-`` meaning no annotation. A close binds to
 the most recent unclosed open with the same id.
@@ -74,6 +76,8 @@ _BEGIN = re.compile(
     r"#begin document \((?P<name>[^)]*)\)(?:; part (?P<part>\d+))?\s*$", re.ASCII
 )
 _COREF_PIECE = re.compile(r"\((\d+)\)|\((\d+)|(\d+)\)", re.ASCII)
+# One column: see the module docstring.
+_COLUMN = re.compile(r"[^ \t]+")
 _COREF_KINDS = (None, "both", "open", "close")  # by _COREF_PIECE group
 
 
@@ -179,14 +183,18 @@ def parse_conll(text: str, path: str = "<string>") -> list[Document]:
     of gold mentions with score 0. A document that breaks an invariant
     (say, one span in two clusters) raises ParseError at its #begin line.
     """
-    return list(_conll_documents(enumerate(text.splitlines(), start=1), path))
+    return list(_conll_documents(enumerate(text.split("\n"), start=1), path))
 
 
 def _conll_documents(lines: Iterable[tuple[int, str]], path: str) -> Iterator[Document]:
-    """Documents of a column-formatted file, each as soon as its #end line is read."""
+    """Documents of a column-formatted file, each as soon as its #end line is read.
+
+    A line ends at "\\n", as file_lines reads it; a "\\r" before that is
+    dropped, so CRLF files read the same.
+    """
     acc: _DocAccumulator | None = None
     for line_no, raw in lines:
-        line = raw.rstrip()
+        line = raw.rstrip("\n").removesuffix("\r").rstrip(" \t")
         if line.startswith("#begin document"):
             if acc is not None:
                 raise ParseError("nested #begin document", path=path, line=line_no)
@@ -200,15 +208,15 @@ def _conll_documents(lines: Iterable[tuple[int, str]], path: str) -> Iterator[Do
             yield acc.finish(path)
             acc = None
         elif acc is None:
-            if not line.strip() or line.startswith("#"):
+            if not line or line.startswith("#"):
                 continue
             raise ParseError("content outside a document block", path=path, line=line_no)
-        elif not line.strip():
+        elif not line:
             acc.end_sentence()
         elif line.startswith("#"):
             continue
         else:
-            acc.add_token(line.split(), path, line_no)
+            acc.add_token(_COLUMN.findall(line), path, line_no)
     if acc is not None:
         raise UnbalancedBracketError(
             "missing #end document", path=path, line=acc.begin_line

@@ -11,7 +11,9 @@ scoring.GoldScoreProvider). Per mention, in processing order:
    of engine.decide: the memory policy's rule, defined there alone.
 
 A remaining count drops by one for every processed mention of its entity,
-whatever action the mention received.
+whatever action the mention received. The memory is the engine's: a list
+of each cell's last-use ordinal (the mention index) in slot order, from
+which rule-bounded picks its least recently used cell.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, Sequence
 
-from .engine import MemoryState, decide
+from .engine import decide
 from .ingest import order_mentions
 from .scoring import ScoreRow
 from .types import (
@@ -38,7 +40,6 @@ class OracleStep(NamedTuple):
     oracle makes one per mention."""
 
     action: Action
-    entity_id: int | None
     remaining: int | None
 
 
@@ -55,28 +56,26 @@ def oracle_trace(
     slot_remaining: list[int] = []
     slot_entity: list[int] = []
     slot_of: dict[int, int] = {}
-    state = MemoryState(capacity=policy.capacity)
-    last_use = state.last_use
+    last_use: list[int] = []  # each cell's last-use ordinal, as in the engine
     steps: list[OracleStep] = []
 
     for i, mention in enumerate(mentions):
         ent = ent_of.get(mention)
         if ent is None:
-            steps.append(OracleStep(Action.ignore_invalid(), None, None))
+            steps.append(OracleStep(Action.ignore_invalid(), None))
             continue
 
         slot = slot_of.get(ent)
         if slot is not None:
             slot_remaining[slot] -= 1
             last_use[slot] = i
-            steps.append(OracleStep(Action.coref(slot), ent, slot_remaining[slot]))
+            steps.append(OracleStep(Action.coref(slot), slot_remaining[slot]))
             continue
 
         count = loose_remaining.pop(ent)  # includes the current mention
         row = ScoreRow(math.inf, (-1.0,) * len(last_use), tuple(slot_remaining), count)
-        action = decide(state, row, policy)
-        steps.append(OracleStep(action, ent, count - 1))
-        # i is the cell's last-use ordinal: distinct, as the engine's are.
+        action = decide(last_use, row, policy)
+        steps.append(OracleStep(action, count - 1))
         if action.kind is ActionKind.NEW_ENTITY:
             slot = len(last_use)
             last_use.append(i)

@@ -7,10 +7,10 @@ here are immutable after construction; invariant checking lives in
 validate_document, which reports violations instead of raising so that
 callers can decide what is fatal.
 
-The package's records are named tuples, or Record classes where a named
-tuple does not fit, rather than dataclasses: defining a dataclass imports
-inspect and execs its generated methods, which every CLI call would pay
-for at start-up.
+The package's records are named tuples, or FrozenRecord classes where a
+named tuple does not fit, rather than dataclasses: defining a dataclass
+imports inspect and execs its generated methods, which every CLI call
+would pay for at start-up.
 """
 
 from __future__ import annotations
@@ -37,18 +37,17 @@ class PicklableError:
         return (_restore_error, (type(self), self.args), self.__dict__)
 
 
-class Record:
-    """Base of the records that cannot be named tuples: equality and repr
-    by the fields named in _fields.
+class FrozenRecord:
+    """Base of the records that cannot be named tuples.
 
-    A mutable record keeps its fields in __slots__ and is unhashable; see
-    FrozenRecord for the immutable ones. Records of different classes
-    never compare equal.
+    A record's fields are named in _fields and set once, in __init__
+    through vars(self). It equals, hashes and prints by those fields;
+    assigning or deleting an attribute afterwards raises AttributeError.
+    Records of different classes never compare equal.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-    __hash__ = None
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -58,22 +57,12 @@ class Record:
             return NotImplemented
         return self._values() == other._values()
 
+    def __hash__(self) -> int:
+        return hash(self._values())
+
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
-
-
-class FrozenRecord(Record):
-    """A Record whose fields are set once, in __init__ through vars(self).
-
-    Assigning or deleting an attribute afterwards raises AttributeError,
-    and the record hashes by its fields.
-    """
-
-    __slots__ = ()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")

@@ -10,6 +10,8 @@ import re
 import signal
 import subprocess
 import sys
+import threading
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import pytest
@@ -979,7 +981,8 @@ def test_jobs_env_below_one_exit_3(corpus, monkeypatch, capsys, value):
 
 # ---------------------------------------------------------------------------
 # the fault matrix: output targets that are absent, regular files, symlinks,
-# an input or another output, under runs that must fail before writing
+# directories, in a missing directory, FIFOs, an input or another output,
+# under runs that succeed or must fail before writing
 
 
 def _tree(root):
@@ -990,23 +993,55 @@ def _tree(root):
             out[path] = ("link", os.readlink(path))
         elif path.is_dir():
             out[path] = ("dir", None)
+        elif path.is_fifo():
+            out[path] = ("fifo", None)  # reading it would wait for a writer
         else:
             out[path] = ("file", path.read_bytes())
     return out
 
 
 def _target(tmp_path, kind):
-    """An output path that is absent, a regular file, or a symlink to one."""
+    """An output path of the given kind (one of TARGET_KINDS)."""
     path = tmp_path / "pred.jsonl"
     if kind == "regular":
         path.write_text("old\n")
     elif kind == "symlink":
         (tmp_path / "real.jsonl").write_text("old\n")
         path.symlink_to("real.jsonl")
+    elif kind == "directory":
+        path.mkdir()
+    elif kind == "missing-directory":
+        path = tmp_path / "missing" / "pred.jsonl"
+    elif kind == "fifo":
+        os.mkfifo(path)
     return path
 
 
-TARGET_KINDS = ["absent", "regular", "symlink"]
+# The kinds a staged file replaces, then the others.
+STAGED_KINDS = ["absent", "regular", "symlink"]
+TARGET_KINDS = [*STAGED_KINDS, "directory", "missing-directory", "fifo"]
+
+
+@contextmanager
+def _fifo_reader(path):
+    """Read the FIFO at path in a thread; yields a list that gets its bytes."""
+    received = []
+    reader = threading.Thread(target=lambda: received.append(path.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        yield received
+    finally:
+        # A call that never opened the FIFO leaves the reader waiting in
+        # open(); a writer that opens and closes it lets the read end.
+        for _ in range(600):
+            reader.join(0.05)
+            if not reader.is_alive():
+                break
+            try:
+                os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:  # the reader has not opened it yet
+                pass
+        assert not reader.is_alive()
 
 
 @pytest.mark.parametrize("kind", TARGET_KINDS)
@@ -1036,7 +1071,7 @@ def test_jobs_below_one_writes_nothing(
     not _LINUX or len(os.sched_getaffinity(0)) < 2,
     reason="the failing run_chunk reaches forked workers only, and --jobs 2 needs 2 CPUs",
 )
-@pytest.mark.parametrize("kind", TARGET_KINDS)
+@pytest.mark.parametrize("kind", STAGED_KINDS)
 def test_dead_worker_writes_nothing(
     tmp_path, three_chunk_corpus, monkeypatch, capsys, pool_deadline, kind
 ):
@@ -1099,6 +1134,79 @@ def test_output_that_is_an_input_or_output_exit_3(tmp_path, corpus, capsys, argv
     assert _tree(tmp_path) == before
     err = capsys.readouterr().err
     assert err == f"error: {message.format(**names)} are the same file\n"
+
+
+OUTPUT_FLAGS = [
+    ("run", "--out"),
+    ("run", "--trace"),
+    ("run", "--record-scores"),
+    ("run", "--manifest"),
+    ("oracle", "--out"),
+    ("score", "--json"),
+    ("synth", "--out"),
+]
+
+
+def _write_one_output(command, corpus_path, flag, target):
+    head = {
+        "run": ("run", corpus_path, "--scorer", "string-match", "--policy", "lb", "--capacity", 2),
+        "oracle": ("oracle", corpus_path, "--policy", "rb", "--capacity", 2),
+        "score": ("score", corpus_path, corpus_path),
+        "synth": ("synth", "--seed", 5, "--docs", 4),
+    }[command]
+    return run_cli(*head, flag, target)
+
+
+@pytest.mark.parametrize("kind", TARGET_KINDS)
+@pytest.mark.parametrize(
+    "command, flag", OUTPUT_FLAGS, ids=[f"{c}{f}" for c, f in OUTPUT_FLAGS]
+)
+def test_every_output_flag_on_every_target_kind(tmp_path, corpus, capsys, command, flag, kind):
+    _, path = corpus
+    assert _write_one_output(command, path, flag, tmp_path / "reference") == 0
+    expected = (tmp_path / "reference").read_bytes()
+    work = tmp_path / "work"
+    work.mkdir()
+    target = _target(work, kind)
+    before = _tree(work)
+    capsys.readouterr()
+    with _fifo_reader(target) if kind == "fifo" else nullcontext() as received:
+        code = _write_one_output(command, path, flag, target)
+    after = _tree(work)
+    err = capsys.readouterr().err
+    if kind == "directory":
+        assert (code, err) == (3, f"error: {flag} {target} is a directory\n")
+        assert after == before
+    elif kind == "missing-directory":
+        assert code == 2 and str(target.parent) in err
+        assert after == before
+    elif kind == "fifo":  # written in place: it stays a FIFO
+        assert (code, err) == (0, "")
+        assert after == before and received == [expected]
+    else:
+        assert (code, err) == (0, "")
+        written = work / "real.jsonl" if kind == "symlink" else target
+        assert after == {**before, written: ("file", expected)}
+
+
+def test_failed_replace_leaves_no_temporary_file(tmp_path, monkeypatch):
+    from streamcoref import commands
+
+    replace, replaced = os.replace, []
+
+    def second_replace_fails(src, dst):
+        if replaced:
+            raise OSError("replace failed")
+        replace(src, dst)
+        replaced.append(dst)
+
+    monkeypatch.setattr(os, "replace", second_replace_fails)
+    targets = {name: str(tmp_path / name) for name in ("a", "b", "c")}
+    with pytest.raises(OSError, match="replace failed"):
+        with commands._staged(targets) as files:
+            for fh in files.values():
+                fh.write("new\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["a"]
 
 
 def test_symlinked_outputs_write_through_the_link(tmp_path, corpus):
@@ -1296,7 +1404,7 @@ def test_policy_choices_are_the_memory_policies():
 PUBLIC_NAMES = """
 Action ActionKind ClusteringResult ConfigError CorpusStats CountAccumulator
 Document EmptyClusterError GoldCluster GoldScoreProvider
-MalformedColumnError MemoryPolicy MemoryState MentionSpan
+MalformedColumnError MemoryPolicy MentionSpan
 OracleStep PRF ParseError PolicyConfig RecordingScoreProvider
 ReplayScoreProvider RunStats SchemaError ScoreProvider ScoreReport ScoreRow
 ScoreShapeMismatch SingletonMode SpreadRecord StringMatchConfig

@@ -14,7 +14,6 @@ from streamcoref import (
     Document,
     GoldCluster,
     MemoryPolicy,
-    MemoryState,
     MentionSpan,
     PolicyConfig,
     ReplayScoreProvider,
@@ -42,14 +41,6 @@ def rb(capacity):
     return PolicyConfig(MemoryPolicy.RULE_BOUNDED, capacity=capacity)
 
 
-def make_state(ordinals, capacity) -> MemoryState:
-    return MemoryState(
-        last_use=list(ordinals),
-        capacity=capacity,
-        next_ordinal=max(ordinals, default=-1) + 1,
-    )
-
-
 def scores_for(s_m, s_c, f_r_cells, f_r_mention) -> ScoreRow:
     return ScoreRow(
         s_m=s_m, s_c=tuple(s_c), f_r_cells=tuple(f_r_cells), f_r_mention=f_r_mention
@@ -61,50 +52,50 @@ def scores_for(s_m, s_c, f_r_cells, f_r_mention) -> ScoreRow:
 
 
 def test_decide_unbounded_variants():
-    state = make_state([0, 1], capacity=None)
+    last_use = [0, 1]
     positive = scores_for(0.5, (), (), 0.0)
     negative = scores_for(-0.5, (), (), 0.0)
-    assert decide(state, positive, UNBOUNDED) == Action.new_entity()
-    assert decide(state, negative, UNBOUNDED) == Action.ignore_invalid()
+    assert decide(last_use, positive, UNBOUNDED) == Action.new_entity()
+    assert decide(last_use, negative, UNBOUNDED) == Action.ignore_invalid()
     # the star variant appends regardless of the mention score
-    assert decide(state, negative, USTAR) == Action.new_entity()
+    assert decide(last_use, negative, USTAR) == Action.new_entity()
 
 
 def test_decide_lb_prefers_weakest_position():
-    state = make_state([0, 1], capacity=2)
+    last_use = [0, 1]
     # least useful: the first tracked entity
-    assert decide(state, scores_for(5.0, (), (0.1, 3.0), 2.0), lb(2)) == Action.evict(0)
+    assert decide(last_use, scores_for(5.0, (), (0.1, 3.0), 2.0), lb(2)) == Action.evict(0)
     # least useful: the incoming mention
-    assert decide(state, scores_for(5.0, (), (2.0, 3.0), 1.0), lb(2)) == Action.ignore_capacity()
+    assert decide(last_use, scores_for(5.0, (), (2.0, 3.0), 1.0), lb(2)) == Action.ignore_capacity()
     # least useful: the mention score itself
-    assert decide(state, scores_for(0.5, (), (2.0, 3.0), 1.5), lb(2)) == Action.ignore_invalid()
+    assert decide(last_use, scores_for(0.5, (), (2.0, 3.0), 1.5), lb(2)) == Action.ignore_invalid()
 
 
 def test_decide_lb_tie_goes_to_lowest_index():
-    state = make_state([0, 1], capacity=2)
-    assert decide(state, scores_for(1.0, (), (1.0, 1.0), 1.0), lb(2)) == Action.evict(0)
+    last_use = [0, 1]
+    assert decide(last_use, scores_for(1.0, (), (1.0, 1.0), 1.0), lb(2)) == Action.evict(0)
 
 
 def test_decide_lb_below_capacity_acts_unbounded():
-    state = make_state([0], capacity=2)
-    assert decide(state, scores_for(0.9, (), (5.0,), 1.0), lb(2)) == Action.new_entity()
-    assert decide(state, scores_for(-0.9, (), (5.0,), 1.0), lb(2)) == Action.ignore_invalid()
+    last_use = [0]
+    assert decide(last_use, scores_for(0.9, (), (5.0,), 1.0), lb(2)) == Action.new_entity()
+    assert decide(last_use, scores_for(-0.9, (), (5.0,), 1.0), lb(2)) == Action.ignore_invalid()
 
 
 def test_decide_rb_considers_only_the_lru_cell():
     # slot 1 is the least recently used; slot 0 has the weak remaining score
-    state = make_state([5, 2], capacity=2)
-    assert lru_slot(state) == 1
+    last_use = [5, 2]
+    assert lru_slot(last_use) == 1
     scores = scores_for(5.0, (), (0.1, 9.0), 2.0)
     # the learned rule would evict slot 0; the lru rule only offers slot 1
-    assert decide(state, scores, lb(2)) == Action.evict(0)
-    assert decide(state, scores, rb(2)) == Action.ignore_capacity()
+    assert decide(last_use, scores, lb(2)) == Action.evict(0)
+    assert decide(last_use, scores, rb(2)) == Action.ignore_capacity()
     # when the lru cell is the weakest of the triple it does get evicted
-    assert decide(state, scores_for(5.0, (), (0.1, 1.0), 2.0), rb(2)) == Action.evict(1)
-    assert decide(state, scores_for(0.5, (), (9.0, 8.0), 7.0), rb(2)) == Action.ignore_invalid()
+    assert decide(last_use, scores_for(5.0, (), (0.1, 1.0), 2.0), rb(2)) == Action.evict(1)
+    assert decide(last_use, scores_for(0.5, (), (9.0, 8.0), 7.0), rb(2)) == Action.ignore_invalid()
     # below capacity it acts unbounded, like the learned rule
-    state = make_state([0], capacity=2)
-    assert decide(state, scores_for(0.9, (), (5.0,), 1.0), rb(2)) == Action.new_entity()
+    last_use = [0]
+    assert decide(last_use, scores_for(0.9, (), (5.0,), 1.0), rb(2)) == Action.new_entity()
 
 
 # ---------------------------------------------------------------------------

@@ -460,6 +460,31 @@ def test_load_conll_from_disk(tmp_path):
     assert len(docs) == 1 and docs[0].tokens[0] == "The"
 
 
+@pytest.mark.parametrize(
+    "space",
+    ["\xa0", "\x85", "\u2028", "\x0c", "\x1c"],
+    ids=["no-break-space", "next-line", "line-separator", "form-feed", "file-separator"],
+)
+def test_conll_columns_split_at_ascii_spaces_and_tabs_only(tmp_path, space):
+    # Python's str.split and str.splitlines break at each of these; a token
+    # holding one stays whole, and both readers agree.
+    text = BASIC.replace("\tcouncil\t", f"\t1{space}000 \t")
+    path = tmp_path / "demo.conll"
+    path.write_text(text, encoding="utf-8", newline="")
+    (doc,) = parse_conll(text)
+    assert load_conll(path) == [doc]
+    assert doc.tokens == ("The", f"1{space}000", "met", "It", "adjourned")
+    (plain,) = parse_conll(BASIC)
+    assert doc.gold_clusters == plain.gold_clusters
+    assert doc.sentence_boundaries == plain.sentence_boundaries
+
+
+def test_conll_crlf_lines_read_as_lf(tmp_path):
+    path = tmp_path / "demo.conll"
+    path.write_bytes(BASIC.replace("\n", "\r\n").encode("utf-8"))
+    assert load_conll(path) == parse_conll(BASIC.replace("\n", "\r\n")) == parse_conll(BASIC)
+
+
 def test_order_mentions_sorts_and_dedupes():
     spans = [
         MentionSpan(4, 6),

@@ -144,7 +144,6 @@ def test_unbounded_oracle_never_drops_gold():
 def test_non_gold_spans_are_invalid():
     steps = trace_for([0, -1, 0], lb(1))
     assert kinds_of(steps) == ["new", "ignore_inv", "coref"]
-    assert steps[1].entity_id is None
     assert steps[1].remaining is None
 
 

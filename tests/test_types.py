@@ -16,7 +16,6 @@ from streamcoref import (
     Document,
     GoldCluster,
     MemoryPolicy,
-    MemoryState,
     MentionSpan,
     PolicyConfig,
     RunStats,
@@ -257,7 +256,7 @@ def test_policy_star_needs_dropped_singletons():
     assert not cfg.bounded
 
 
-# The records are named tuples or Record classes, not dataclasses: each
+# The records are named tuples or FrozenRecord classes, not dataclasses: each
 # keeps equality and hashing by value, pickles (the run pool sends RunSpec
 # and PolicyConfig to its workers), and rejects assignment.
 
@@ -319,22 +318,6 @@ def test_replace_keeps_constructor_checks():
     assert Action.coref(1)._replace(cell=4) == Action.coref(4)
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: MemoryState([0], capacity=2, next_ordinal=1),
-    ],
-    ids=["MemoryState"],
-)
-def test_mutable_records(make):
-    record, twin = make(), make()
-    assert record == twin
-    assert pickle.loads(pickle.dumps(record)) == record
-    with pytest.raises(TypeError):
-        hash(record)
-    name = record._fields[-1]
-    setattr(record, name, 99)
-    assert getattr(record, name) == 99 and record != twin
-    with pytest.raises(AttributeError):
-        record.extra = 1
-    assert repr(twin).startswith(f"{type(twin).__name__}({twin._fields[0]}=")
+def test_frozen_records_print_their_fields():
+    assert repr(PRF(0.5, 0.25, 0.125)) == "PRF(precision=0.5, recall=0.25, f1=0.125)"
+    assert repr(make_doc()).startswith("Document(doc_id=")
