@@ -135,20 +135,15 @@ def histogram_rows(counts: Sequence[int], buckets: int) -> list[tuple[float, flo
     return [(i / buckets, (i + 1) / buckets, counts[i]) for i in range(buckets)]
 
 
-def document_stats(doc: Document) -> tuple[str, int, int, int]:
-    """(doc_id, max active entities, total entities, doc length)."""
-    return (doc.doc_id, max_active_entities(doc), len(doc.gold_clusters), len(doc))
-
-
 def per_document_stats(docs: Iterable[Document]) -> list[tuple[str, int, int, int]]:
-    """document_stats of each document."""
-    return [document_stats(d) for d in docs]
+    """(doc_id, max active entities, total entities, doc length) of each document."""
+    return [(d.doc_id, max_active_entities(d), len(d.gold_clusters), len(d)) for d in docs]
 
 
 class CorpusStats:
     """The corpus statistics folded over documents one at a time.
 
-    add(doc) returns the document's document_stats row and folds the
+    add(doc) returns the document's per_document_stats row and folds the
     document into the spread histogram (spread_histogram's buckets) and
     into the corpus maxima: total entities, active entities with and
     without singletons. Nothing of a document is kept once add returns.

@@ -13,7 +13,7 @@ import json
 import math
 import os
 import stat
-from contextlib import closing, contextmanager
+from contextlib import closing, contextmanager, suppress
 from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
@@ -26,12 +26,10 @@ from .ingest import (
     document_to_jsonl,
     iter_documents,
     json_line,
-    order_mentions,
     read_chunks,
 )
 from .types import (
     ConfigError,
-    Document,
     MemoryPolicy,
     PolicyConfig,
     SingletonMode,
@@ -60,13 +58,9 @@ def _resolve_jobs(args) -> int:
 
 
 def _policy_from_args(args) -> PolicyConfig:
-    policy = MemoryPolicy(args.policy)
-    capacity = args.capacity if policy.bounded else None
-    if not policy.bounded and args.capacity is not None:
-        raise ConfigError(f"policy {policy.value} does not take a capacity")
     return PolicyConfig(
-        policy=policy,
-        capacity=capacity,
+        policy=MemoryPolicy(args.policy),
+        capacity=args.capacity,
         singleton_mode=SingletonMode(getattr(args, "singletons", "keep")),
     )
 
@@ -131,11 +125,12 @@ def _staged(paths: dict[str, str | None]) -> Iterator[dict[str, TextIO]]:
     regular file is staged: a temporary file beside it replaces it only
     when the block completes, and every temporary file not yet moved into
     place is deleted on any error, a failed replace included, so a failed
-    run leaves no such output behind. Any other target (a FIFO, a
-    character device) is opened in place and written as the run goes, so
-    it is not atomic. The files are opened with newline="", so what is
-    written is what lands on disk (the csv module's own line ends
-    included).
+    run leaves no such output behind. A target whose directory does not
+    exist raises FileNotFoundError naming the key, the path and that
+    directory. Any other target (a FIFO, a character device) is opened in
+    place and written as the run goes, so it is not atomic. The files are
+    opened with newline="", so what is written is what lands on disk (the
+    csv module's own line ends included).
     """
     files: dict[str, TextIO] = {}
     staged: dict[str, str] = {}  # temporary path -> its target, until replaced
@@ -148,7 +143,15 @@ def _staged(paths: dict[str, str | None]) -> Iterator[dict[str, TextIO]]:
             if _replaceable(target):
                 head, name = os.path.split(target)
                 tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
-                files[key] = open(tmp, "x", encoding="utf-8", newline="")
+                try:
+                    files[key] = open(tmp, "x", encoding="utf-8", newline="")
+                except (FileNotFoundError, NotADirectoryError):
+                    # Name the directory as given; a symlink's is the target's.
+                    given = os.path.dirname(path)
+                    where = given if given and not os.path.isdir(given) else head
+                    raise FileNotFoundError(
+                        f"{key} {path}: directory {where} does not exist"
+                    ) from None
                 staged[tmp] = target
             else:
                 files[key] = open(target, "w", encoding="utf-8", newline="")
@@ -165,6 +168,27 @@ def _staged(paths: dict[str, str | None]) -> Iterator[dict[str, TextIO]]:
         finally:
             for tmp in staged:
                 os.unlink(tmp)
+
+
+@contextmanager
+def _made_directory(path: str | None) -> Iterator[None]:
+    """Create directory path, if given, with its missing parents. When the
+    block fails, remove the directories created here, deepest first; one
+    that existed before is never removed, nor one no longer empty."""
+    created = []
+    if path:
+        head = os.path.abspath(path)
+        while not os.path.exists(head):
+            created.append(head)
+            head = os.path.dirname(head)
+        Path(path).mkdir(parents=True, exist_ok=True)
+    try:
+        yield
+    except BaseException:
+        with suppress(OSError):
+            for made in created:
+                os.rmdir(made)
+        raise
 
 
 def _replaceable(target: str) -> bool:
@@ -328,9 +352,8 @@ def cmd_analyze(args) -> None:
             "histogram": str(outdir / "spread_histogram.csv"),
         }
         _check_outputs([("--out", p) for p in targets.values()], _inputs(args.inputs))
-        outdir.mkdir(parents=True, exist_ok=True)
     stats = CorpusStats(args.buckets, args.exclude_singletons)
-    with _staged(targets) as files:
+    with _made_directory(args.out), _staged(targets) as files:
         per_document = csv.writer(files["per_document"]) if files else None
         if per_document:
             per_document.writerow(["doc_id", "mae", "total_entities", "doc_len"])
@@ -354,27 +377,8 @@ def cmd_analyze(args) -> None:
     )
 
 
-def _oracle_document(
-    doc: Document, policy: PolicyConfig, out: TextIO | None
-) -> tuple[int, int]:
-    """Trace one document, write its trace to out if given, and return its
-    (capacity ignores, gold mentions)."""
-    from .oracle import capacity_ignores, oracle_trace
-
-    mentions, _ = order_mentions(doc.gold_mentions())
-    steps = oracle_trace(mentions, doc.gold_clusters, policy)
-    if out:
-        out.write(json.dumps({"doc_id": doc.doc_id}) + "\n")
-        for mention, stp in zip(mentions, steps):
-            obj = {"mention": mention.as_pair()}
-            obj.update(stp.action.to_obj())
-            obj["remaining"] = stp.remaining
-            out.write(json.dumps(obj) + "\n")
-    return capacity_ignores(steps), len(steps)
-
-
 def cmd_oracle(args) -> None:
-    from .oracle import trackable_fraction
+    from .oracle import trace_document, trackable_fraction
 
     policy = _policy_from_args(args)
     targets = {"--out": args.out}
@@ -383,7 +387,7 @@ def cmd_oracle(args) -> None:
     with _staged(targets) as files:
         out = files.get("--out")
         traced = map(
-            lambda doc: _oracle_document(doc, policy, out),
+            lambda doc: trace_document(doc, policy, out),
             iter_documents(args.inputs, args.format),
         )
         for doc_ignored, doc_total in traced:
@@ -585,16 +589,16 @@ def cmd_synth(args) -> None:
 
     _check_synth_args(args)
     _check_outputs([("--out", args.out)], [])
-    docs = synthesize_corpus(
-        args.seed,
-        args.docs,
-        max_tokens=args.max_tokens,
-        max_entities=args.max_entities,
-        max_mentions=args.max_mentions,
-        min_entities=args.min_entities,
-        extra_candidates=args.extra_candidates,
-    )
     with _staged({"--out": args.out}) as files:
+        docs = synthesize_corpus(
+            args.seed,
+            args.docs,
+            max_tokens=args.max_tokens,
+            max_entities=args.max_entities,
+            max_mentions=args.max_mentions,
+            min_entities=args.min_entities,
+            extra_candidates=args.extra_candidates,
+        )
         files["--out"].writelines(document_to_jsonl(doc) + "\n" for doc in docs)
     print(f"wrote {len(docs)} documents to {args.out}")
 

@@ -340,7 +340,7 @@ def parse_jsonl(line: str, *, path: str = "<string>", line_no: int | None = None
     return _validated(doc, path, line_no)
 
 
-def document_to_obj(doc: Document) -> dict:
+def document_to_jsonl(doc: Document) -> str:
     """Serialize a document to the JSON-lines schema (entity ids positional)."""
     obj: dict = {
         "doc_id": doc.doc_id,
@@ -355,11 +355,7 @@ def document_to_obj(doc: Document) -> dict:
     }
     if doc.genre is not None:
         obj["genre"] = doc.genre
-    return obj
-
-
-def document_to_jsonl(doc: Document) -> str:
-    return json.dumps(document_to_obj(doc), ensure_ascii=False)
+    return json.dumps(obj, ensure_ascii=False)
 
 
 def load_jsonl(path: str | Path) -> list[Document]:
@@ -532,15 +528,10 @@ def read_corpus(paths: Sequence[str | Path], fmt: str = "auto") -> list[Document
 def order_mentions(spans: Iterable[MentionSpan]) -> tuple[list[MentionSpan], int]:
     """Sort spans into processing order and drop exact duplicates.
 
-    Processing order is by start, ties broken by end. Returns the ordered
+    Processing order is by start, ties broken by end: the spans' tuple
+    order. Of equal spans the first given is kept. Returns the ordered
     spans plus the number of duplicates removed so callers can warn.
     """
-    ordered = sorted(spans)
-    out: list[MentionSpan] = []
-    dupes = 0
-    for s in ordered:
-        if out and out[-1] == s:
-            dupes += 1
-        else:
-            out.append(s)
-    return out, dupes
+    spans = list(spans)
+    ordered = sorted(set(spans))
+    return ordered, len(spans) - len(ordered)

@@ -18,8 +18,9 @@ which rule-bounded picks its least recently used cell.
 
 from __future__ import annotations
 
+import json
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 from .engine import decide
 from .ingest import order_mentions
@@ -97,11 +98,6 @@ def oracle_trace(
     return steps
 
 
-def capacity_ignores(steps: Iterable[OracleStep]) -> int:
-    """How many of a trace's mentions the oracle ignored for capacity."""
-    return sum(1 for s in steps if s.action.kind is ActionKind.IGNORE_CAPACITY)
-
-
 def trackable_fraction(ignored: int, total: int) -> float:
     """Fraction of total gold mentions tracked when ignored were dropped.
 
@@ -114,14 +110,34 @@ def trackable_fraction(ignored: int, total: int) -> float:
     return (total - ignored) / total
 
 
+def trace_document(
+    doc: Document, policy: PolicyConfig, out: TextIO | None = None
+) -> tuple[int, int]:
+    """Trace one document's gold mentions in processing order, write the
+    trace to out if given, and return (capacity ignores, gold mentions).
+
+    The trace is a {"doc_id"} line, then one line per mention: its span,
+    its action and its entity's remaining count after the step.
+    """
+    mentions, _ = order_mentions(doc.gold_mentions())
+    steps = oracle_trace(mentions, doc.gold_clusters, policy)
+    if out:
+        out.write(json.dumps({"doc_id": doc.doc_id}) + "\n")
+        for mention, stp in zip(mentions, steps):
+            obj = {"mention": mention.as_pair()}
+            obj.update(stp.action.to_obj())
+            obj["remaining"] = stp.remaining
+            out.write(json.dumps(obj) + "\n")
+    return sum(1 for s in steps if s.action.kind is ActionKind.IGNORE_CAPACITY), len(steps)
+
+
 def oracle_trackable_fraction(
     docs: Iterable[Document], policy: PolicyConfig
 ) -> float:
     """Fraction of gold mentions the oracle tracks rather than drops."""
     ignored = total = 0
     for doc in docs:
-        mentions, _ = order_mentions(doc.gold_mentions())
-        steps = oracle_trace(mentions, doc.gold_clusters, policy)
-        ignored += capacity_ignores(steps)
-        total += len(steps)
+        doc_ignored, doc_total = trace_document(doc, policy)
+        ignored += doc_ignored
+        total += doc_total
     return trackable_fraction(ignored, total)

@@ -181,7 +181,7 @@ class GoldScoreProvider(ScoreProvider):
             self.start_document(doc, [])
 
     def start_document(self, doc: Document, mentions: Sequence[MentionSpan]) -> None:
-        self._ent_of = dict(doc.entity_by_span)
+        self._ent_of = doc.entity_by_span
         self._remaining = {c.entity_id: float(len(c.mentions)) for c in doc.gold_clusters}
         self._prev_entity = None
         self._slot_entity = []
@@ -462,10 +462,12 @@ def propose_top_spans(
 ) -> list[MentionSpan]:
     """Keep the floor(ratio * doc_len) highest-scoring candidate spans.
 
-    Score ties at the cutoff keep the earlier span in mention order. The
-    selection is returned re-sorted into processing order. The count is
-    computed on the decimal value of the ratio, so 0.3 of a 10-token
-    document is exactly 3 despite binary floating point.
+    One stable sort by (-score, span) ranks the candidates, so score ties
+    at the cutoff keep the earlier span in mention order, and equal spans
+    keep their given order. The selection is returned re-sorted into
+    processing order. The count is computed on the decimal value of the
+    ratio, so 0.3 of a 10-token document is exactly 3 despite binary
+    floating point.
     """
     from decimal import Decimal  # ~3 ms to import: only a run with a ratio pays it
 
@@ -474,9 +476,5 @@ def propose_top_spans(
     if doc_len < 1:
         raise ValueError("doc_len must be at least 1")
     k = int(Decimal(str(ratio)) * doc_len)
-    order = sorted(range(len(candidates)), key=lambda i: candidates[i][0])
-    rank = {i: r for r, i in enumerate(order)}
-    by_score = sorted(range(len(candidates)), key=lambda i: (-candidates[i][1], rank[i]))
-    chosen = by_score[: max(k, 0)]
-    chosen.sort(key=lambda i: candidates[i][0])
-    return [candidates[i][0] for i in chosen]
+    by_score = sorted(candidates, key=lambda c: (-c[1], c[0]))
+    return sorted(span for span, _ in by_score[: max(k, 0)])

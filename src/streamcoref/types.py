@@ -285,7 +285,7 @@ class PolicyConfig(_PolicyFields):
             if capacity < 1:
                 raise ConfigError(f"capacity must be >= 1, got {capacity}")
         elif capacity is not None:
-            raise ConfigError(f"policy {policy.value} is unbounded; capacity must be omitted")
+            raise ConfigError(f"policy {policy.value} does not take a capacity")
         if policy is MemoryPolicy.UNBOUNDED_STAR and singleton_mode is SingletonMode.KEEP:
             raise ConfigError(
                 "unbounded-star turns every non-coreferent mention into an entity "

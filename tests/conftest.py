@@ -9,6 +9,7 @@ import json
 import math
 from bisect import bisect_left
 from collections import Counter, defaultdict
+from decimal import Decimal
 from fractions import Fraction
 from itertools import permutations
 
@@ -321,6 +322,26 @@ def reference_score_rows(path):
 def reference_row_line(row: ScoreRow) -> str:
     """A row's replay line as json.dumps writes it: the writer before the codec."""
     return json.dumps(row.to_obj()) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# span proposal through a rank table: reference for propose_top_spans
+
+
+def reference_propose_top_spans(candidates, ratio, doc_len):
+    """The top floor(ratio * doc_len) candidate spans, in processing order.
+
+    Ranks every candidate's span in mention order first, then sorts the
+    candidate indices by (-score, rank) and re-sorts the first k by span:
+    propose_top_spans before it sorted once by (-score, span).
+    """
+    k = int(Decimal(str(ratio)) * doc_len)
+    order = sorted(range(len(candidates)), key=lambda i: candidates[i][0])
+    rank = {i: r for r, i in enumerate(order)}
+    by_score = sorted(range(len(candidates)), key=lambda i: (-candidates[i][1], rank[i]))
+    chosen = by_score[: max(k, 0)]
+    chosen.sort(key=lambda i: candidates[i][0])
+    return [candidates[i][0] for i in chosen]
 
 
 # ---------------------------------------------------------------------------

@@ -1179,6 +1179,7 @@ def test_every_output_flag_on_every_target_kind(tmp_path, corpus, capsys, comman
         assert after == before
     elif kind == "missing-directory":
         assert code == 2 and str(target.parent) in err
+        assert err == f"error: {flag} {target}: directory {target.parent} does not exist\n"
         assert after == before
     elif kind == "fifo":  # written in place: it stays a FIFO
         assert (code, err) == (0, "")
@@ -1187,6 +1188,45 @@ def test_every_output_flag_on_every_target_kind(tmp_path, corpus, capsys, comman
         assert (code, err) == (0, "")
         written = work / "real.jsonl" if kind == "symlink" else target
         assert after == {**before, written: ("file", expected)}
+
+
+def _bad_corpus(tmp_path, corpus_path):
+    """The corpus with a first line whose doc_id is not a string."""
+    lines = corpus_path.read_text().splitlines(keepends=True)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"doc_id": 1, "tokens": ["a"]}\n' + "".join(lines[1:]))
+    return bad
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["nested-absent", "existing"])
+def test_failed_analyze_removes_only_the_directories_it_made(tmp_path, corpus, capsys, existing):
+    _, path = corpus
+    bad = _bad_corpus(tmp_path, path)
+    work = tmp_path / "work"
+    work.mkdir()
+    out = work / "stats" if existing else work / "new" / "sub" / "stats"
+    if existing:
+        out.mkdir()
+    before = _tree(work)
+    assert run_cli("analyze", bad, "--out", out) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}:1:")
+    assert _tree(work) == before
+
+
+def test_analyze_out_makes_nested_directories(tmp_path, corpus):
+    _, path = corpus
+    reference = tmp_path / "reference"
+    assert run_cli("analyze", path, "--out", reference) == 0
+    work = tmp_path / "work"
+    work.mkdir()
+    out = work / "new" / "sub"
+    assert run_cli("analyze", path, "--out", out) == 0
+    assert _tree(work) == {
+        work / "new": ("dir", None),
+        out: ("dir", None),
+        **{out / name: ("file", (reference / name).read_bytes())
+           for name in ("per_document.csv", "spread_histogram.csv")},
+    }
 
 
 def test_failed_replace_leaves_no_temporary_file(tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import reference_propose_top_spans
 from streamcoref import (
     Action,
     Document,
@@ -422,3 +423,22 @@ def test_propose_top_spans_size_and_subset(raw, ratio, doc_len):
     assert set(chosen) <= {s for s, _ in cands}
     assert chosen == sorted(chosen, key=lambda s: (s.start, s.end))
     assert propose_top_spans(cands, ratio=r, doc_len=doc_len) == chosen
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 8), st.integers(0, 2), st.sampled_from([-1.0, 0.0, 0.5, 1.0])),
+        max_size=25,
+    ),
+    st.integers(0, 30),
+)
+def test_propose_top_spans_matches_the_rank_table_reference(raw, k):
+    # Few distinct spans and scores: duplicate spans (each a new object)
+    # and tied scores are common, and k runs from 0 past the list's end.
+    cands = [(MentionSpan(start, start + width), score) for start, width, score in raw]
+    ratio, doc_len = (k + 0.5) / 100, 100  # keeps exactly k
+    chosen = propose_top_spans(cands, ratio=ratio, doc_len=doc_len)
+    want = reference_propose_top_spans(cands, ratio, doc_len)
+    assert len(want) == min(k, len(cands))
+    assert chosen == want
+    assert all(a is b for a, b in zip(chosen, want))
