@@ -14,12 +14,14 @@ import math
 import os
 import stat
 from contextlib import closing, contextmanager, suppress
+from functools import partial
 from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
 
 from . import __version__
 from .ingest import (
+    CHUNK_BYTES,
     MentionSpan,
     ParseError,
     SourceLine,
@@ -65,17 +67,16 @@ def _policy_from_args(args) -> PolicyConfig:
     )
 
 
-def _parse_scorer(spec: str) -> tuple[str, object]:
-    if spec == "gold":
-        return ("gold", None)
-    if spec == "string-match":
-        return ("string-match", None)
-    if spec.startswith("replay:"):
-        path = spec.split(":", 1)[1]
+def _replay_path(scorer: str) -> str | None:
+    """The file of --scorer replay:PATH; None for gold and string-match."""
+    if scorer in ("gold", "string-match"):
+        return None
+    if scorer.startswith("replay:"):
+        path = scorer.split(":", 1)[1]
         if not path:
             raise ConfigError("replay scorer needs a file: --scorer replay:PATH")
-        return ("replay", path)
-    raise ConfigError(f"unknown scorer {spec!r} (use gold, string-match, or replay:PATH)")
+        return path
+    raise ConfigError(f"unknown scorer {scorer!r} (use gold, string-match, or replay:PATH)")
 
 
 def _check_outputs(
@@ -238,11 +239,12 @@ class _ManifestWriter:
 
 
 def cmd_run(args) -> None:
-    from .pipeline import RunSpec, ordered_outputs, worker_count
-    from .scoring import ReplayScoreProvider, StringMatchConfig
+    from .pipeline import ordered_outputs, run_one, worker_count
+    from .scoring import GoldScoreProvider, ReplayScoreProvider
+    from .scoring import StringMatchConfig, StringMatchScoreProvider
 
     policy = _policy_from_args(args)
-    scorer_kind, scorer_arg = _parse_scorer(args.scorer)
+    replay_path = _replay_path(args.scorer)
     ratio = args.proposal_ratio
     if ratio is not None and not 0 < ratio < math.inf:
         raise ConfigError(f"--proposal-ratio must be positive and finite, got {ratio}")
@@ -254,29 +256,40 @@ def cmd_run(args) -> None:
         "--manifest": args.manifest,
     }
     inputs = _inputs(args.inputs)
-    if scorer_arg:
-        inputs.append((f"--scorer {args.scorer}", scorer_arg))
+    if replay_path:
+        inputs.append((f"--scorer {args.scorer}", replay_path))
     _check_outputs(targets.items(), inputs)
     match_cfg = StringMatchConfig(
         lowercase=not args.no_lowercase,
         strip_determiners=args.strip_determiners,
     )
-    spec = RunSpec(
+    # With --manifest, each input file's (path, sha256) once it is read:
+    # the corpus files in order, then the replay file.
+    digests: list[tuple[str, str]] | None = [] if args.manifest else None
+    replay = ReplayScoreProvider.from_file(replay_path, digests) if replay_path else None
+    if replay:
+        provider = lambda: replay  # one provider for the whole corpus
+    elif args.scorer == "gold":
+        provider = GoldScoreProvider
+    else:
+        provider = partial(StringMatchScoreProvider, match_cfg)
+    run = partial(
+        run_one,
+        provider=provider,
         policy=policy,
-        scorer=scorer_kind,
-        match=match_cfg,
         ratio=ratio,
+        out=bool(args.out),
         trace=bool(args.trace),
         record=args.record_scores is not None,
         manifest=bool(args.manifest),
     )
-    # With --manifest, each input file's (path, sha256) once it is read:
-    # the corpus files in order, then the replay file.
-    digests: list[tuple[str, str]] | None = [] if args.manifest else None
     # Replay rows are positional across the corpus, so replay runs in this
-    # process whatever --jobs says.
-    replay = ReplayScoreProvider.from_file(scorer_arg, digests) if scorer_kind == "replay" else None
-    corpus_bytes = sum(os.path.getsize(p) for p in args.inputs)
+    # process whatever --jobs says. A pipe or FIFO has no size to read, so
+    # it counts as more than one chunk.
+    corpus_bytes = sum(
+        st.st_size if stat.S_ISREG(st.st_mode) else CHUNK_BYTES + 1
+        for st in map(os.stat, args.inputs)
+    )
     workers = 1 if replay else worker_count(jobs, corpus_bytes)
 
     docs = steps = peak = ignored_cap = ignored_inv = evictions = 0
@@ -301,7 +314,7 @@ def cmd_run(args) -> None:
                 },
             )
         chunks = read_chunks(args.inputs, args.format, digests)
-        with closing(ordered_outputs(spec, chunks, workers, replay)) as outputs:
+        with closing(ordered_outputs(run, chunks, workers)) as outputs:
             for o in outputs:
                 docs += 1
                 steps += o.mentions

@@ -158,18 +158,12 @@ class _DocAccumulator:
             GoldCluster(cid, tuple(sorted(spans)))
             for cid, spans in sorted(self.clusters.items())
         ])
-        seen: set[MentionSpan] = set()
-        candidates = []
-        for cluster in gold:
-            for span in cluster.mentions:
-                if span not in seen:
-                    seen.add(span)
-                    candidates.append(span)
+        candidates = sorted({s for cluster in gold for s in cluster.mentions})
         doc = Document(
             doc_id=doc_id,
             tokens=tuple(self.tokens),
             sentence_boundaries=tuple(self.boundaries),
-            candidate_mentions=tuple([(s, 0.0) for s in sorted(candidates)]),
+            candidate_mentions=tuple([(s, 0.0) for s in candidates]),
             gold_clusters=gold,
         )
         return _validated(doc, path, self.begin_line)

@@ -1,18 +1,20 @@
 """The run pipeline: corpus chunks in, one compact output per document out.
 
 read_chunks (ingest) streams the corpus as ordered chunks of raw lines.
-run_chunk parses and validates each document, proposes its mentions, runs
-the engine and serializes everything the run writes for it: the
-prediction line, the trace lines, the recorded score rows and the
-clusters' digest for the manifest, plus the counters the summary needs.
-ordered_outputs yields those outputs in input order, computed in this
-process or by worker processes. The parent talks to each worker over two
-pipes, in length-prefixed pickles: the RunSpec, then one chunk at a time,
-each answered by the chunk's outputs or the error it raised. A worker gets
-its next chunk once its last reply is read, so the calling process holds
-O(1) chunks whatever the corpus size, needs no thread, and every worker
-count gives the same outputs. Workers are forked where that is safe (see
-start_method) and spawned elsewhere.
+run_one takes one parsed document, proposes its mentions, runs the engine
+and serializes everything the run writes for it: the prediction line, the
+trace lines, the recorded score rows and the clusters' digest for the
+manifest, plus the counters the summary needs. ordered_outputs parses the
+chunks' documents one at a time and yields a per-document function's
+result for each (for a run, run_one with its settings bound by
+functools.partial) in input order, computed in this process or by worker
+processes. The parent talks to each worker over two pipes, in
+length-prefixed pickles: the function, then one chunk at a time, each
+answered by the function's results for the chunk's documents or the error
+raised. A worker gets its next chunk once its last reply is read, so the
+calling process holds O(1) chunks whatever the corpus size, needs no
+thread, and every worker count gives the same outputs. Workers are forked
+where that is safe (see start_method) and spawned elsewhere.
 """
 
 from __future__ import annotations
@@ -21,38 +23,17 @@ import json
 import os
 import sys
 from collections import deque
-from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .engine import run_document
 from . import ingest
 from .ingest import ParseError, SourceLine, chunk_documents, order_mentions
-from .scoring import (
-    RecordingScoreProvider,
-    ScoreProvider,
-    StringMatchConfig,
-    gold_scorer,
-    propose_top_spans,
-    string_match_scorer,
-)
+from .scoring import RecordingScoreProvider, ScoreProvider, propose_top_spans
 # WorkerError lives in types so that the CLI can catch it without
 # importing this module.
 from .types import Action, Document, MentionSpan, PolicyConfig, WorkerError
 
-class RunSpec(NamedTuple):
-    """Everything a document's run needs besides the document.
-
-    scorer is "gold", "string-match" or "replay"; replay runs take their
-    provider from the caller. trace, record and manifest say which outputs
-    to serialize.
-    """
-
-    policy: PolicyConfig
-    scorer: str
-    match: StringMatchConfig
-    ratio: float | None
-    trace: bool = False
-    record: bool = False
-    manifest: bool = False
+T = TypeVar("T")
 
 
 class DocOutput(NamedTuple):
@@ -99,38 +80,49 @@ def trace_lines(mentions: Sequence[MentionSpan], actions: Sequence[Action]) -> s
     return "".join(lines)
 
 
-def run_one(spec: RunSpec, doc: Document, provider: ScoreProvider | None = None) -> DocOutput:
-    """Run one document and serialize its outputs.
+def run_one(
+    doc: Document,
+    *,
+    provider: Callable[[], ScoreProvider],
+    policy: PolicyConfig,
+    ratio: float | None,
+    out: bool,
+    trace: bool,
+    record: bool,
+    manifest: bool,
+) -> DocOutput:
+    """Run one document and serialize the outputs asked for.
 
-    provider is the replay provider shared across documents, or None to
-    build the gold or string-match provider that spec names.
+    provider makes the document's score provider: a new one per document,
+    or the one replay provider a whole corpus run shares. out, trace,
+    record and manifest say which outputs to serialize.
     """
-    mentions = document_mentions(doc, spec.ratio)
-    if provider is None:
-        if spec.scorer == "gold":
-            provider = gold_scorer(doc)
-        else:
-            provider = string_match_scorer(spec.match)
-    recorder = RecordingScoreProvider(provider) if spec.record else None
-    result = run_document(doc, mentions, recorder or provider, spec.policy)
+    mentions = document_mentions(doc, ratio)
+    scores = provider()
+    recorder = RecordingScoreProvider(scores) if record else None
+    result = run_document(doc, mentions, recorder or scores, policy)
     stats = result.stats
 
-    # Spans and tuples of them serialize as JSON arrays: [[s, e], ...].
-    clusters = result.predicted_clusters
-    prediction = json.dumps({"doc_id": doc.doc_id, "clusters": clusters}) + "\n"
-    trace = ""
-    if spec.trace:
-        trace = json.dumps({"doc_id": doc.doc_id}) + "\n" + trace_lines(mentions, stats.actions)
-    rows = ""
+    prediction = trace_text = rows = digest = ""
+    if out or manifest:
+        # Spans and tuples of them serialize as JSON arrays: [[s, e], ...].
+        clusters = json.dumps(result.predicted_clusters)
+        if out:
+            # The text json.dumps({"doc_id": ..., "clusters": ...}) writes.
+            prediction = f'{{"doc_id": {json.dumps(doc.doc_id)}, "clusters": {clusters}}}\n'
+        if manifest:
+            digest = ingest.sha256(clusters.encode()).hexdigest()
+    if trace:
+        header = json.dumps({"doc_id": doc.doc_id})
+        trace_text = header + "\n" + trace_lines(mentions, stats.actions)
     if recorder is not None:
         from .rowcodec import encode_row  # loaded only by a run that records
 
         rows = "".join(map(encode_row, recorder.rows))
-    digest = ingest.sha256(json.dumps(clusters).encode()).hexdigest() if spec.manifest else ""
     return DocOutput(
         doc_id=doc.doc_id,
         prediction=prediction,
-        trace=trace,
+        trace=trace_text,
         rows=rows,
         digest=digest,
         mentions=len(mentions),
@@ -140,13 +132,6 @@ def run_one(spec: RunSpec, doc: Document, provider: ScoreProvider | None = None)
         ignored_invalid=stats.ignored_invalid_count,
         evictions=stats.eviction_count,
     )
-
-
-def run_chunk(
-    spec: RunSpec, chunk: Iterable[SourceLine | Document], provider: ScoreProvider | None = None
-) -> list[DocOutput]:
-    """run_one over a chunk's documents, parsed one at a time, in order."""
-    return [run_one(spec, doc, provider) for doc in chunk_documents(chunk)]
 
 
 def worker_count(jobs: int, corpus_bytes: int, cpus: int | None = None) -> int:
@@ -225,14 +210,14 @@ def _portable(error: Exception) -> Exception:
 
 
 def _serve(tasks: BinaryIO, results: BinaryIO) -> None:
-    """The worker loop: read the RunSpec, then run each chunk read and reply
-    with its outputs or the error it raised, until the parent closes the pipes."""
+    """The worker loop: read the per-document function, then answer each chunk
+    with its documents' results or the error raised, until the pipes close."""
     try:
-        spec = _receive(tasks)
+        fn = _receive(tasks)
         while True:
             chunk = _receive(tasks)
             try:
-                reply = run_chunk(spec, chunk)
+                reply = [fn(doc) for doc in chunk_documents(chunk)]
             except Exception as e:
                 reply = _portable(e)
             _send(results, reply)
@@ -256,7 +241,7 @@ class _Worker:
         except BrokenPipeError:
             raise self._died() from None
 
-    def outputs(self) -> list[DocOutput]:
+    def outputs(self) -> list:
         """The reply to the oldest chunk sent; raises the error it holds."""
         try:
             reply = _receive(self.results)
@@ -351,29 +336,26 @@ def _serve_stdio() -> None:
 
 
 def ordered_outputs(
-    spec: RunSpec,
+    fn: Callable[[Document], T],
     chunks: Iterable[list[SourceLine | Document]],
     workers: int = 1,
-    provider: ScoreProvider | None = None,
-) -> Iterator[DocOutput]:
-    """Every document's DocOutput, in input order.
+) -> Iterator[T]:
+    """fn(doc) for every document of the chunks, in input order.
 
-    One worker runs the chunks in this process, as replay must (its
-    provider's rows are positional across the corpus). More run them in
+    One worker runs fn in this process, as a replay run must (its
+    provider's rows are positional across the corpus). More run it in
     worker processes started by start_method(), each started when its
-    first chunk is read. Chunks go to the workers in turn, one at a time:
-    a worker gets its next chunk only once its last reply has been read,
-    so replies come back in input order, no write blocks on a worker busy
-    writing its own reply, and this process holds the chunk being read
-    and the outputs of one. The first error in input order is raised,
-    whichever process met it.
+    first chunk is read and sent fn first, so fn must pickle. Chunks go to
+    the workers in turn, one at a time: a worker gets its next chunk only
+    once its last reply has been read, so replies come back in input
+    order, no write blocks on a worker busy writing its own reply, and
+    this process holds the chunk being read and the results of one. The
+    first error in input order is raised, whichever process met it.
     """
     if workers <= 1:
         for chunk in chunks:
-            yield from run_chunk(spec, chunk, provider)
+            yield from [fn(doc) for doc in chunk_documents(chunk)]  # all or none, as a reply
         return
-    if provider is not None:
-        raise ValueError("a shared provider runs in this process only")
 
     fork = start_method() == "fork"
     pool: list[_Worker] = []
@@ -391,11 +373,11 @@ def ordered_outputs(
                 raise
             if chunk is None:
                 break
-            outputs: list[DocOutput] = []
+            outputs: list[T] = []
             if len(pool) < workers:
                 worker = _fork_worker(pool) if fork else _spawn_worker()
                 pool.append(worker)
-                worker.send(spec)
+                worker.send(fn)
             else:
                 worker = busy.popleft()
                 outputs = worker.outputs()

@@ -8,7 +8,6 @@ invariants: spans are in range, distinct, and every cluster is non-empty.
 from __future__ import annotations
 
 import random
-from typing import Sequence
 
 from .types import Document, GoldCluster, MentionSpan
 

@@ -6,6 +6,8 @@ import csv
 import hashlib
 import json
 import os
+import pickle
+import random
 import re
 import signal
 import subprocess
@@ -26,6 +28,7 @@ from streamcoref import (
     load_jsonl,
     oracle_trackable_fraction,
     synthesize_corpus,
+    synthesize_document,
     write_jsonl,
 )
 from streamcoref.cli import build_parser, main
@@ -254,6 +257,57 @@ def test_worker_count():
     assert 1 <= worker_count(10**6, big) <= (os.cpu_count() or 1)
 
 
+@pytest.mark.parametrize("scorer", ["gold", "string-match"])
+def test_run_function_survives_pickle(tmp_path, corpus, monkeypatch, capsys, scorer):
+    """The per-document function that run builds pickles, as the pool sends
+    it, and the copy that comes back runs the same."""
+    from streamcoref import pipeline
+
+    real = pipeline.ordered_outputs
+
+    def ordered_outputs(fn, chunks, workers=1):
+        data = pickle.dumps(fn, pickle.HIGHEST_PROTOCOL)
+        back = pickle.loads(data)
+        assert pickle.dumps(back, pickle.HIGHEST_PROTOCOL) == data
+        return real(back, chunks, workers)
+
+    _, path = corpus
+    runs = []
+    for name in ("direct", "pickled"):
+        if name == "pickled":
+            monkeypatch.setattr(pipeline, "ordered_outputs", ordered_outputs)
+        out = tmp_path / name
+        out.mkdir()
+        assert run_cli(
+            "run", path, "--scorer", scorer, "--strip-determiners", "--policy", "lb",
+            "--capacity", 2, "--proposal-ratio", 0.6, "--out", out / "pred.jsonl",
+            "--trace", out / "trace.jsonl", "--record-scores", out / "rows.jsonl",
+        ) == 0
+        runs.append([capsys.readouterr().out] + [
+            (out / f).read_bytes() for f in ("pred.jsonl", "trace.jsonl", "rows.jsonl")
+        ])
+    assert runs[0] == runs[1]
+
+
+def test_run_one_serializes_only_the_outputs_asked_for():
+    from streamcoref import run_document
+    from streamcoref.pipeline import document_mentions, run_one
+    from streamcoref.scoring import GoldScoreProvider
+
+    doc = synthesize_document(random.Random(8), 'doc "8" \u00e9', max_mentions=30)
+    policy = PolicyConfig(MemoryPolicy.LEARNED_BOUNDED, capacity=2)
+    settings = dict(provider=GoldScoreProvider, policy=policy, ratio=None, trace=False, record=False)
+    bare = run_one(doc, out=False, manifest=False, **settings)
+    full = run_one(doc, out=True, manifest=True, **settings)
+    assert bare.prediction == bare.digest == ""
+    assert bare._replace(prediction=full.prediction, digest=full.digest) == full
+
+    clusters = run_document(doc, document_mentions(doc, None), GoldScoreProvider(), policy)[0]
+    assert len(clusters) > 1
+    assert full.prediction == json.dumps({"doc_id": doc.doc_id, "clusters": clusters}) + "\n"
+    assert full.digest == hashlib.sha256(json.dumps(clusters).encode()).hexdigest()
+
+
 _LINUX = sys.platform.startswith("linux")
 
 
@@ -362,22 +416,22 @@ class _TwoArgError(Exception):
 
 
 def _second_chunk_fails(how):
-    """A run_chunk that runs a worker's first chunk and fails on its next.
+    """A chunk_documents that parses a worker's first chunk and fails on its next.
 
     Forked workers inherit it, and each counts its own calls. It never
     fails in the test's own process.
     """
     from streamcoref import pipeline
 
-    real, calls, parent = pipeline.run_chunk, [], os.getpid()
+    real, calls, parent = pipeline.chunk_documents, [], os.getpid()
 
-    def run_chunk(spec, chunk, provider=None):
+    def chunk_documents(chunk):
         calls.append(None)
         if len(calls) > 1 and os.getpid() != parent:
             how()
-        return real(spec, chunk, provider)
+        return real(chunk)
 
-    return run_chunk
+    return chunk_documents
 
 
 def _raise(error):
@@ -414,7 +468,7 @@ def _assert_no_child_left():
 
 @pytest.mark.skipif(
     not _LINUX or len(os.sched_getaffinity(0)) < 2,
-    reason="the failing run_chunk reaches forked workers only, and --jobs 2 needs 2 CPUs",
+    reason="the failing chunk_documents reaches forked workers only, and --jobs 2 needs 2 CPUs",
 )
 @pytest.mark.parametrize(
     "how, error, message",
@@ -430,7 +484,7 @@ def test_failed_worker_ends_the_run(
 ):
     from streamcoref import pipeline
 
-    monkeypatch.setattr(pipeline, "run_chunk", _second_chunk_fails(how))
+    monkeypatch.setattr(pipeline, "chunk_documents", _second_chunk_fails(how))
     out = tmp_path / "out"
     out.mkdir()
     argv = ("run", three_chunk_corpus, "--jobs", 2, "--out", out / "pred.jsonl",
@@ -443,6 +497,43 @@ def test_failed_worker_ends_the_run(
             run_cli(*argv)
     assert list(out.iterdir()) == []  # no output and no temporary file
     _assert_no_child_left()
+
+
+@pytest.mark.skipif(
+    not _LINUX or len(os.sched_getaffinity(0)) < 2,
+    reason="the recording chunk_documents reaches forked workers only, and --jobs 2 needs 2 CPUs",
+)
+def test_corpus_from_a_fifo_runs_on_workers(
+    tmp_path, three_chunk_corpus, monkeypatch, capsys, pool_deadline
+):
+    """A FIFO's size reads 0, yet its corpus is split among the workers."""
+    from streamcoref import pipeline
+
+    pids = tmp_path / "pids"
+    real = pipeline.chunk_documents
+
+    def chunk_documents(chunk):
+        with open(pids, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(chunk)
+
+    monkeypatch.setattr(pipeline, "chunk_documents", chunk_documents)
+    fifo = tmp_path / "corpus.fifo"
+    os.mkfifo(fifo)
+    # A writer process, not a thread: with a second thread running, the
+    # pool spawns its workers, and the patch above reaches forked ones only.
+    copy = "import shutil, sys; shutil.copyfileobj(open(sys.argv[1], 'rb'), open(sys.argv[2], 'wb'))"
+    writer = subprocess.Popen([sys.executable, "-c", copy, three_chunk_corpus, fifo])
+    try:
+        assert run_cli("run", fifo, "--jobs", 2, "--out", tmp_path / "fifo.jsonl") == 0
+    finally:
+        writer.kill()  # it has exited unless the run failed before reading the FIFO
+        writer.wait()
+    summary = capsys.readouterr().out
+    assert {int(pid) for pid in pids.read_text().split()} - {os.getpid()}
+    assert run_cli("run", three_chunk_corpus, "--jobs", 1, "--out", tmp_path / "file.jsonl") == 0
+    assert capsys.readouterr().out == summary
+    assert (tmp_path / "fifo.jsonl").read_bytes() == (tmp_path / "file.jsonl").read_bytes()
 
 
 @pytest.mark.parametrize("bad_line", [b"{not json\n", b"\xff\n"], ids=["worker", "reader"])
@@ -1069,7 +1160,7 @@ def test_jobs_below_one_writes_nothing(
 
 @pytest.mark.skipif(
     not _LINUX or len(os.sched_getaffinity(0)) < 2,
-    reason="the failing run_chunk reaches forked workers only, and --jobs 2 needs 2 CPUs",
+    reason="the failing chunk_documents reaches forked workers only, and --jobs 2 needs 2 CPUs",
 )
 @pytest.mark.parametrize("kind", STAGED_KINDS)
 def test_dead_worker_writes_nothing(
@@ -1077,7 +1168,7 @@ def test_dead_worker_writes_nothing(
 ):
     from streamcoref import pipeline
 
-    monkeypatch.setattr(pipeline, "run_chunk", _second_chunk_fails(lambda: os._exit(3)))
+    monkeypatch.setattr(pipeline, "chunk_documents", _second_chunk_fails(lambda: os._exit(3)))
     out = _target(tmp_path, kind)
     before = _tree(tmp_path)
     assert run_cli("run", three_chunk_corpus, "--jobs", 2, "--out", out,
@@ -1188,6 +1279,21 @@ def test_every_output_flag_on_every_target_kind(tmp_path, corpus, capsys, comman
         assert (code, err) == (0, "")
         written = work / "real.jsonl" if kind == "symlink" else target
         assert after == {**before, written: ("file", expected)}
+
+
+def test_a_failing_chunk_writes_none_of_its_documents(tmp_path, corpus, capsys):
+    """An output written in place gets a chunk's documents only once the
+    whole chunk has run, with one worker as with a pool."""
+    _, path = corpus
+    lines = path.read_text().splitlines(keepends=True)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(lines[:2]) + '{"doc_id": 1}\n' + "".join(lines[3:]))
+    fifo = tmp_path / "pred.fifo"
+    os.mkfifo(fifo)
+    with _fifo_reader(fifo) as received:
+        assert run_cli("run", bad, "--out", fifo) == 2
+    assert received == [b""]
+    assert capsys.readouterr().err == f"error: {bad}:3: ill-typed key 'doc_id'\n"
 
 
 def _bad_corpus(tmp_path, corpus_path):
@@ -1492,3 +1598,20 @@ def test_package_public_names_are_unchanged():
     with pytest.raises(AttributeError):
         streamcoref.no_such_name
 
+
+def test_no_module_imports_a_name_it_never_reads():
+    """Each name a module of the package imports, at the top or inside a
+    function, is read somewhere in that module (an ast scan of its source)."""
+    unused = []
+    for path in sorted(Path(streamcoref.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno} {n}" for n in names if n not in read]
+    assert unused == []

@@ -26,7 +26,6 @@ from streamcoref import (
     StringMatchConfig,
     validate_document,
 )
-from streamcoref.pipeline import RunSpec
 
 
 def make_doc(**overrides) -> Document:
@@ -257,8 +256,8 @@ def test_policy_star_needs_dropped_singletons():
 
 
 # The records are named tuples or FrozenRecord classes, not dataclasses: each
-# keeps equality and hashing by value, pickles (the run pool sends RunSpec
-# and PolicyConfig to its workers), and rejects assignment.
+# keeps equality and hashing by value, pickles (the run pool sends
+# PolicyConfig to its workers), and rejects assignment.
 
 
 def _records() -> list:
@@ -276,7 +275,6 @@ def _records() -> list:
         StringMatchConfig(strip_determiners=True),
         stats,
         ClusteringResult(((span,),), stats),
-        RunSpec(policy, "string-match", StringMatchConfig(), 0.5, trace=True),
         SpreadRecord(0, span, 1, 0.2),
         ScoreReport(prf, prf, prf, 1 / 3),
         prf,
